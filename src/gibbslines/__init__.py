@@ -38,8 +38,8 @@ from .gibbs import (
     log_boltzmann_weight,
     mcmc_sweep,
     monotone_coupled_sweep,
-    run_block_sweeps,
     sample_conditional,
+    sample_conditional_batch,
 )
 from .scaling import (
     ScalingParams,

@@ -5,11 +5,13 @@ conditionally on the value v at u_j and the pinned endpoint y at b, the value
 at u_{j+1} is Gaussian with mean v + (y - v) (u_{j+1} - u_j) / (b - u_j) and
 variance (u_{j+1} - u_j)(b - u_{j+1}) / (b - u_j). This is exact at the grid
 points for any (possibly nonuniform) strictly increasing point array.
+
+With r_j = b - u_j the step reads (v_{j+1} - y) / r_{j+1} = (v_j - y) / r_j
++ z_j sqrt((u_{j+1} - u_j) / (r_j r_{j+1})), so the whole walk is one
+cumulative sum of scaled normals.
 """
 
 from __future__ import annotations
-
-import math
 
 import numpy as np
 
@@ -28,17 +30,17 @@ def bridge_batch(points: np.ndarray, x, y, rng: np.random.Generator, size: int) 
         raise LengthMismatch("need at least two points to bridge")
     out = np.empty((size, n))
     out[:, 0] = x
-    yv = np.broadcast_to(np.asarray(y, dtype=np.float64), (size,))
+    out[:, -1] = y
     if n > 2:
+        # the normals become the interior values in place: no further (size, n) temporaries
         z = rng.standard_normal((size, n - 2))
-        b = pts[-1]
-        for j in range(n - 2):
-            dt = pts[j + 1] - pts[j]
-            rem = b - pts[j]
-            mean = out[:, j] + (dt / rem) * (yv - out[:, j])
-            sd = math.sqrt(dt * (b - pts[j + 1]) / rem)
-            out[:, j + 1] = mean + sd * z[:, j]
-    out[:, -1] = yv
+        rem = pts[-1] - pts
+        z *= np.sqrt(np.diff(pts)[:-1] / (rem[:-2] * rem[1:-1]))
+        np.cumsum(z, axis=1, out=z)
+        z += ((out[:, 0] - out[:, -1]) / rem[0])[:, None]
+        z *= rem[1:-1]
+        z += out[:, -1:]
+        out[:, 1:-1] = z
     return out
 
 

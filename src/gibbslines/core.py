@@ -184,11 +184,14 @@ class BoundaryData:
         return self.x_vec.shape[0]
 
 
-def _saturating_exp(arg: np.ndarray) -> np.ndarray:
-    # exp with an explicit overflow policy: arguments past the cap become +inf.
-    arg = np.asarray(arg, dtype=np.float64)
-    out = np.where(arg > EXP_SATURATION, np.inf, np.exp(np.minimum(arg, EXP_SATURATION)))
-    return out
+def _capped_exp(arg: np.ndarray, cap: float) -> np.ndarray:
+    """exp(arg), +inf past the cap, computed in place in arg: fresh temporaries
+    of (batch, lattice) size cost more in page faults than the arithmetic."""
+    over = arg > cap
+    np.minimum(arg, cap, out=arg)
+    np.exp(arg, out=arg)
+    arg[over] = np.inf
+    return arg
 
 
 class Hamiltonian:
@@ -214,8 +217,7 @@ class ExpHamiltonian(Hamiltonian):
         return math.exp(x)
 
     def integrand(self, gaps):
-        gaps = np.asarray(gaps, dtype=np.float64)
-        return np.where(gaps > self.cap, np.inf, np.exp(np.minimum(gaps, self.cap)))
+        return _capped_exp(np.array(gaps, dtype=np.float64), self.cap)
 
 
 @dataclass(frozen=True)
@@ -240,10 +242,10 @@ class ScaledExpHamiltonian(Hamiltonian):
         return math.exp(arg)
 
     def integrand(self, gaps):
-        gaps = np.asarray(gaps, dtype=np.float64)
-        arg = self.rate * gaps
         # -inf * 0 never occurs: rate > 0 and gaps of -inf give arg -inf, exp 0.
-        return np.where(arg > self.cap, np.inf, np.exp(np.minimum(arg, self.cap)))
+        # The outer asarray: a 0-d product comes back as a numpy scalar.
+        arg = np.asarray(self.rate * np.asarray(gaps, dtype=np.float64))
+        return _capped_exp(arg, self.cap)
 
 
 @dataclass(frozen=True)

@@ -57,8 +57,8 @@ from .gibbs import (
     _prepared_slice,
     estimate_Z,
     log_boltzmann_weight,
-    mcmc_sweep,
     sample_conditional,
+    sample_conditional_batch,
 )
 
 DESK_MAX_CURVES = 4
@@ -66,6 +66,7 @@ DESK_MAX_T = 1.0e3
 DESK_MAX_GRID = 2**13
 DESK_MAX_SAMPLES = 10**6
 ESS_THRESHOLD = 100.0
+DRAW_CHUNK = 2**12  # exact conditional draws held in memory at once
 
 __all__ = [
     "DESK_MAX_CURVES",
@@ -894,9 +895,10 @@ def run_ordering_experiment(
     """Estimate how often the two lowest of k+1 softly ordered curves nearly
     touch, and check the probability is nonincreasing as the penalty hardens.
 
-    Boundary data are strictly ordered levels spaced by `gap` on [-2, 2]; each
-    chain is one exact full-block resampling step, so samples are independent
-    draws from the conditional law. The near-touch event is
+    Boundary data are strictly ordered levels spaced by `gap` on [-2, 2]. The
+    samples are independent exact draws from the conditional law of the whole
+    block, taken from one batched sample_conditional_batch call per shard (per
+    DRAW_CHUNK draws, which bounds memory). The near-touch event is
     {min over [-1, 1] of (curve k - curve k+1) < rho}. A split-chain
     diagnostic raises when the two halves of any run disagree by more than
     three combined standard errors. Expects t_list in increasing order.
@@ -921,24 +923,22 @@ def run_ordering_experiment(
     iw0, iw1 = grid.index_of(-1.0), grid.index_of(1.0)
     levels = gap * np.arange(k, -1, -1, dtype=np.float64)
     outer = BoundaryData(x_vec=levels, y_vec=levels, upper=PLUS_INF, lower=MINUS_INF)
-    init = LineEnsemble(grid, np.broadcast_to(levels[:, None], (k + 1, grid.n)).copy())
-    block = (1, k + 1, -2.0, 2.0)
 
     estimates = []
     checks = []
     probs = []
     for ti, t in enumerate(t_list):
-        h = ScaledExpHamiltonian(float(t))
+        spec = ConditionalSpec(1, k + 1, (-2.0, 2.0), outer, ScaledExpHamiltonian(float(t)))
         counts = _shard_counts(n_samples, threads)
         rngs = _shard_rngs(seed + ti, len(counts))
 
-        def shard(m, rng, h=h):
-            mins = np.empty(m)
-            for i in range(m):
-                state = mcmc_sweep(init, outer, h, rng, block)
-                diff = state.curves[k - 1, iw0 : iw1 + 1] - state.curves[k, iw0 : iw1 + 1]
-                mins[i] = diff.min()
-            return mins
+        def shard(m, rng, spec=spec):
+            mins = []
+            for done in range(0, m, DRAW_CHUNK):
+                curves, _ = sample_conditional_batch(spec, grid, rng, min(DRAW_CHUNK, m - done))
+                diff = curves[:, k - 1, iw0 : iw1 + 1] - curves[:, k, iw0 : iw1 + 1]
+                mins.append(diff.min(axis=1))
+            return np.concatenate(mins)
 
         mins = np.concatenate(_map_shards(shard, list(zip(counts, rngs)), threads))
         hits = (mins < rho).astype(np.float64)

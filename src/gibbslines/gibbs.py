@@ -230,6 +230,48 @@ def estimate_Z(
     return McEstimate.from_samples(np.concatenate(weights), seed)
 
 
+def sample_conditional_batch(
+    spec: ConditionalSpec,
+    grid: Grid,
+    rng: np.random.Generator,
+    n: int,
+    budget: int = 10**6,
+    crossing_correction: bool = True,
+    batch: int = 32,
+) -> tuple[np.ndarray, np.ndarray]:
+    """n independent exact conditional draws; returns (curves, attempts).
+
+    curves has shape (n, k, m) on the interval's m grid points. Candidates are
+    free ensembles drawn in chunks of `batch`; a candidate with log weight lw
+    is accepted when log U <= lw, and every accepted candidate of a chunk is
+    kept, in order. attempts[i] counts the candidates drawn since the previous
+    acceptance, so the attempts are i.i.d. geometric with mean 1/Z. A draw that
+    spends `budget` candidates raises instead of looping forever.
+    """
+    ia, ib, pts, upper, lower, columns = _prepared_slice(spec, grid)
+    curves = np.empty((n, spec.n_curves, pts.shape[0]))
+    attempts = np.empty(n, dtype=np.int64)
+    got = 0
+    since = 0  # candidates spent on the draw in progress
+    while got < n:
+        if since >= budget:
+            raise RejectionBudgetExhausted(budget, f"block {spec.k1}..{spec.k2} on {spec.interval}")
+        m = min(batch, budget - since)
+        cand = free_ensemble_batch(pts, spec.boundary.x_vec, spec.boundary.y_vec, rng, m)
+        lw = _log_weight_batch(cand, pts, upper, lower, spec.hamiltonian, columns, crossing_correction)
+        logu = np.log(rng.random(m))
+        accepted = np.flatnonzero(logu <= lw)[: n - got]
+        if accepted.size == 0:
+            since += m
+            continue
+        take = slice(got, got + accepted.size)
+        curves[take] = cand[accepted]
+        attempts[take] = np.diff(accepted, prepend=-1 - since)
+        got += accepted.size
+        since = m - 1 - int(accepted[-1])
+    return curves, attempts
+
+
 def sample_conditional(
     spec: ConditionalSpec,
     grid: Grid,
@@ -238,26 +280,17 @@ def sample_conditional(
     crossing_correction: bool = True,
     batch: int = 32,
 ) -> tuple[LineEnsemble, int]:
-    """Exact conditional draw by candidate/accept; returns (block, attempts).
+    """One exact conditional draw; returns (block, attempts).
 
-    Candidates are free ensembles; a candidate with log weight lw is accepted
-    when log U <= lw. The attempt count is geometric with mean 1/Z, so tiny
-    normalizers exhaust the budget and raise instead of looping forever.
+    The n = 1 case of sample_conditional_batch: the attempt count is geometric
+    with mean 1/Z, so tiny normalizers exhaust the budget and raise.
     """
-    ia, ib, pts, upper, lower, columns = _prepared_slice(spec, grid)
-    sub_grid = Grid(float(pts[0]), float(pts[-1]), pts.shape[0])
-    done = 0
-    while done < budget:
-        m = min(batch, budget - done)
-        cand = free_ensemble_batch(pts, spec.boundary.x_vec, spec.boundary.y_vec, rng, m)
-        lw = _log_weight_batch(cand, pts, upper, lower, spec.hamiltonian, columns, crossing_correction)
-        logu = np.log(rng.random(m))
-        accepted = np.flatnonzero(logu <= lw)
-        if accepted.size:
-            idx = int(accepted[0])
-            return LineEnsemble(sub_grid, cand[idx]), done + idx + 1
-        done += m
-    raise RejectionBudgetExhausted(budget, f"block {spec.k1}..{spec.k2} on {spec.interval}")
+    curves, attempts = sample_conditional_batch(
+        spec, grid, rng, 1, budget=budget, crossing_correction=crossing_correction, batch=batch
+    )
+    ia, ib = _slice_indices(grid, spec)
+    sub_grid = Grid(float(grid.points[ia]), float(grid.points[ib]), ib - ia + 1)
+    return LineEnsemble(sub_grid, curves[0]), int(attempts[0])
 
 
 def mcmc_sweep(
@@ -300,26 +333,6 @@ def mcmc_sweep(
     new_curves = state.curves.copy()
     new_curves[i1 - 1 : i2, ia : ib + 1] = draw.curves
     return LineEnsemble(grid, new_curves)
-
-
-def run_block_sweeps(
-    state: LineEnsemble,
-    outer: BoundaryData,
-    h: Hamiltonian,
-    rng: np.random.Generator,
-    blocks,
-    n_sweeps: int,
-    budget: int = 10**6,
-    crossing_correction: bool = True,
-) -> LineEnsemble:
-    """n_sweeps systematic scans over the given block list."""
-    for _ in range(n_sweeps):
-        for block in blocks:
-            state = mcmc_sweep(
-                state, outer, h, rng, block, budget=budget,
-                crossing_correction=crossing_correction,
-            )
-    return state
 
 
 def first_hitting_domain(
@@ -383,11 +396,27 @@ def _site_gaussian(pts: np.ndarray, j: int):
     return w1, sigma, trap
 
 
+# The site kernels below work in place on (B, m) lattice arrays, in the same
+# operation order as the plain formulas, so results are bit-for-bit the same:
+# fresh temporaries of this size cost more in page faults than the arithmetic.
+
+
 def _site_log_density(vs, mu, sigma, above, below, trap, h: Hamiltonian):
-    # vs (B, m); mu/above/below (B, 1)
-    logd = -0.5 * ((vs - mu) / sigma) ** 2
-    pen = h.integrand(vs - above) + h.integrand(below - vs)
-    return logd - trap * pen
+    # vs (B, m); mu/above/below (B, 1); -0.5 ((vs - mu) / sigma)^2 - trap * pen
+    logd = vs - mu
+    logd /= sigma
+    np.square(logd, out=logd)
+    logd *= -0.5
+    # a sentinel neighbour (+inf above, -inf below) adds H(-inf) = 0: skip it
+    pen = None
+    if not np.isposinf(above).all():
+        pen = h.integrand(vs - above)
+    if not np.isneginf(below).all():
+        lower = h.integrand(below - vs)
+        pen = lower if pen is None else pen + lower
+    if pen is not None:
+        logd -= trap * pen
+    return logd
 
 
 def _normalized_cdfs(log_dens_list):
@@ -397,13 +426,19 @@ def _normalized_cdfs(log_dens_list):
         peak = logd.max(axis=1, keepdims=True)
         if not np.isfinite(peak).all():
             return None
-        d = np.exp(logd - peak)
-        cells = 0.5 * (d[:, 1:] + d[:, :-1])
-        c = np.concatenate([np.zeros((d.shape[0], 1)), np.cumsum(cells, axis=1)], axis=1)
-        total = c[:, -1:]
+        d = logd - peak
+        np.exp(d, out=d)
+        c = np.empty_like(d)
+        c[:, 0] = 0.0
+        cells = c[:, 1:]
+        np.add(d[:, 1:], d[:, :-1], out=cells)
+        cells *= 0.5
+        np.cumsum(cells, axis=1, out=cells)
+        total = c[:, -1:].copy()
         if (total <= 0).any():
             return None
-        cdfs.append(c / total)
+        c /= total
+        cdfs.append(c)
     return cdfs
 
 
@@ -447,7 +482,8 @@ def _site_draw(mu_list, sigma, above_list, below_list, trap, h, u, max_widen: in
         hi = np.where(fin, np.maximum(hi, np.where(fin, below, hi) + 2 * sigma), hi)
     base = np.linspace(0.0, 1.0, LATTICE_POINTS)
     for _ in range(max_widen):
-        vs = lo[:, None] + (hi - lo)[:, None] * base[None, :]
+        vs = (hi - lo)[:, None] * base[None, :]
+        vs += lo[:, None]
         log_dens = [
             _site_log_density(vs, mu[:, None], sigma, ab[:, None], be[:, None], trap, h)
             for mu, ab, be in zip(mu_list, above_list, below_list)

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -79,6 +81,48 @@ def test_determinism():
     a = bridge_batch(pts, 0.0, 1.0, np.random.default_rng(42), 8)
     b = bridge_batch(pts, 0.0, 1.0, np.random.default_rng(42), 8)
     assert np.array_equal(a, b)
+
+
+def _column_recurrence(points, x, y, rng, size):
+    """Reference: the left-to-right Gaussian step of the module docstring,
+    one grid column at a time."""
+    pts = np.asarray(points, dtype=np.float64)
+    n = pts.shape[0]
+    out = np.empty((size, n))
+    out[:, 0] = x
+    yv = np.broadcast_to(np.asarray(y, dtype=np.float64), (size,))
+    z = rng.standard_normal((size, n - 2))
+    b = pts[-1]
+    for j in range(n - 2):
+        dt = pts[j + 1] - pts[j]
+        rem = b - pts[j]
+        mean = out[:, j] + (dt / rem) * (yv - out[:, j])
+        sd = math.sqrt(dt * (b - pts[j + 1]) / rem)
+        out[:, j + 1] = mean + sd * z[:, j]
+    out[:, -1] = yv
+    return out
+
+
+@pytest.mark.parametrize(
+    "pts, x, y, size",
+    [
+        (np.linspace(0.0, 1.0, 65), 0.3, -0.2, 32),
+        (np.linspace(-2.0, 2.0, 129), 1.0, 1.0, 96),
+        (np.cumsum(np.random.default_rng(1).uniform(0.01, 0.2, 50)), 0.0, 2.0, 100),
+        (np.array([0.0, 0.25, 1.0]), -1.0, 0.5, 10),
+        (np.linspace(0.0, 1.0, 17), np.arange(5.0), -np.arange(5.0), 5),
+    ],
+    ids=["uniform", "uniform-129", "nonuniform", "three-point", "per-row"],
+)
+def test_matches_column_recurrence(pts, x, y, size):
+    rng, rng_ref = np.random.default_rng(17), np.random.default_rng(17)
+    vals = bridge_batch(pts, x, y, rng, size)
+    ref = _column_recurrence(pts, x, y, rng_ref, size)
+    assert np.abs(vals - ref).max() <= 1e-12
+    assert np.array_equal(vals[:, 0], np.broadcast_to(x, (size,)))
+    assert np.array_equal(vals[:, -1], np.broadcast_to(y, (size,)))
+    # both consumed the same normals: the generators are in the same state
+    assert rng.random() == rng_ref.random()
 
 
 def test_too_few_points_rejected():

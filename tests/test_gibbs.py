@@ -27,6 +27,8 @@ from gibbslines.errors import (
 )
 from gibbslines.gibbs import (
     ConditionalSpec,
+    _normalized_cdfs,
+    _site_log_density,
     coupled_scan_batch,
     estimate_Z,
     first_hitting_domain,
@@ -35,8 +37,8 @@ from gibbslines.gibbs import (
     log_boltzmann_weight,
     mcmc_sweep,
     monotone_coupled_sweep,
-    run_block_sweeps,
     sample_conditional,
+    sample_conditional_batch,
 )
 
 
@@ -205,6 +207,48 @@ class TestSampleConditional:
         assert exc.value.attempts == 64
 
 
+class TestSampleConditionalBatch:
+    def test_single_draw_matches_sample_conditional(self):
+        grid = Grid(0.0, 1.0, 33)
+        for spec in (
+            _single_curve_spec(OrderedHamiltonian(), constant_curve(grid, -0.3)),
+            _single_curve_spec(ScaledExpHamiltonian(8.0), constant_curve(grid, -0.3)),
+        ):
+            ens, att = sample_conditional(spec, grid, np.random.default_rng(11))
+            curves, attempts = sample_conditional_batch(spec, grid, np.random.default_rng(11), 1)
+            assert curves.shape == (1, 1, 33) and attempts.shape == (1,)
+            assert np.array_equal(curves[0], ens.curves)
+            assert int(attempts[0]) == att
+            # one-candidate chunks leave nothing over, so n draws replay n calls
+            rng = np.random.default_rng(12)
+            singles = [sample_conditional(spec, grid, rng, batch=1) for _ in range(5)]
+            curves, attempts = sample_conditional_batch(spec, grid, np.random.default_rng(12), 5, batch=1)
+            assert np.array_equal(curves, np.stack([e.curves for e, _ in singles]))
+            assert attempts.tolist() == [a for _, a in singles]
+
+    def test_attempts_match_inverse_z_and_draws_clear_the_wall(self):
+        d = 0.4
+        z = 1.0 - math.exp(-2.0 * d * d)
+        grid = Grid(0.0, 1.0, 33)
+        spec = _single_curve_spec(OrderedHamiltonian(), constant_curve(grid, 0.0), x=d, y=d)
+        n = 2000
+        curves, attempts = sample_conditional_batch(spec, grid, np.random.default_rng(12), n)
+        assert curves.shape == (n, 1, 33)
+        assert np.all(curves[:, 0, 0] == d) and np.all(curves[:, 0, -1] == d)
+        assert curves.min() > 0.0
+        assert attempts.min() >= 1
+        se = math.sqrt((1.0 - z) / z**2 / n)
+        assert abs(attempts.mean() - 1.0 / z) < 5 * se
+
+    def test_tiny_budget_raises(self):
+        d = 0.05  # Z = 1 - exp(-2 d^2) ~ 0.005
+        grid = Grid(0.0, 1.0, 17)
+        spec = _single_curve_spec(OrderedHamiltonian(), constant_curve(grid, 0.0), x=d, y=d)
+        with pytest.raises(RejectionBudgetExhausted) as exc:
+            sample_conditional_batch(spec, grid, np.random.default_rng(13), 20, budget=5)
+        assert exc.value.attempts == 5
+
+
 class TestMcmcSweep:
     def test_full_block_equals_direct_conditional(self):
         grid = Grid(0.0, 1.0, 17)
@@ -237,9 +281,11 @@ class TestMcmcSweep:
         outer = BoundaryData(np.array([1.0, -1.0]), np.array([1.0, -1.0]),
                              PLUS_INF, MINUS_INF)
         blocks = [(1, 1, 0.0, 1.0), (2, 2, 0.0, 1.0), (1, 2, 0.0, 0.5)]
-        out = run_block_sweeps(state, outer, OrderedHamiltonian(),
-                               np.random.default_rng(8), blocks, n_sweeps=3)
-        assert np.all(out.curves[0] > out.curves[1])
+        rng = np.random.default_rng(8)
+        for _ in range(3):
+            for block in blocks:
+                state = mcmc_sweep(state, outer, OrderedHamiltonian(), rng, block)
+                assert np.all(state.curves[0] > state.curves[1])
 
     def test_bad_block_range(self):
         grid = Grid(0.0, 1.0, 9)
@@ -350,6 +396,29 @@ class TestFirstHittingDomain:
 
 
 class TestHeatBath:
+    @pytest.mark.parametrize(
+        "h", [ExpHamiltonian(), ScaledExpHamiltonian(100.0), OrderedHamiltonian()]
+    )
+    def test_site_kernels_match_plain_formulas(self, h):
+        # the in-place kernels keep the plain formulas' operation order, so the
+        # lattice densities and CDFs must agree bit for bit
+        rng = np.random.default_rng(21)
+        rows = 6
+        vs = np.linspace(-6.0, 6.0, 128) + rng.uniform(-0.01, 0.01, (rows, 1))
+        mu = rng.normal(0.0, 1.0, (rows, 1))
+        sigma, trap = 0.3, 0.05
+        top, bottom = np.full((rows, 1), np.inf), np.full((rows, 1), -np.inf)
+        for above, below in [(top, bottom), (mu + 1.5, bottom), (top, mu - 1.5), (mu + 1.5, mu - 1.5)]:
+            pen = h.integrand(vs - above) + h.integrand(below - vs)
+            plain = -0.5 * ((vs - mu) / sigma) ** 2 - trap * pen
+            logd = _site_log_density(vs, mu, sigma, above, below, trap, h)
+            assert np.array_equal(logd, plain)
+            d = np.exp(plain - plain.max(axis=1, keepdims=True))
+            cells = 0.5 * (d[:, 1:] + d[:, :-1])
+            c = np.concatenate([np.zeros((rows, 1)), np.cumsum(cells, axis=1)], axis=1)
+            (cdf,) = _normalized_cdfs([logd])
+            assert np.array_equal(cdf, c / c[:, -1:])
+
     def test_single_interior_site_matches_rejection_sampler(self):
         # on a 3-point grid the one-site conditional is the full conditional,
         # so one heat-bath refresh must agree with candidate/accept draws
