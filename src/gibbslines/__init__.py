@@ -14,7 +14,6 @@ from .core import (
     PLUS_INF,
     ScaledExpHamiltonian,
     constant_curve,
-    make_grid,
 )
 from .bridge_analytics import (
     barrier_tail_mc,

@@ -20,11 +20,14 @@ import sys
 import time
 
 from . import __version__
-from .config import REGISTRY, RunConfig, emit_default_config, parse_config, run_experiment
+from .config import (
+    REGISTRY, RunConfig, emit_default_config, format_value, parse_config, run_experiment
+)
 from .errors import GibbsLinesError
 
 OUTPUT_DIR_ENV = "GIBBSLINES_OUTPUT_DIR"
 _FIELDS = ("kind", "label", "mean", "stderr", "n_samples", "seed", "passed", "detail")
+_BARE_JSON = ("mean", "stderr", "n_samples", "seed", "passed")
 
 
 def report_rows(report, config: RunConfig) -> list:
@@ -37,13 +40,7 @@ def report_rows(report, config: RunConfig) -> list:
         {"kind": "meta", "label": "threads", "detail": str(config.threads)},
     ]
     for key, kind in entry.kinds.items():
-        value = config.parameters[key]
-        if kind == "int":
-            text = str(int(value))
-        elif kind == "real":
-            text = f"{float(value):.17g}"
-        else:
-            text = ", ".join(f"{float(v):.17g}" for v in value)
+        text = format_value(kind, config.parameters[key])
         rows.append({"kind": "meta", "label": f"config.{key}", "detail": text})
     for label, est in report.estimates:
         rows.append(
@@ -66,29 +63,13 @@ def report_rows(report, config: RunConfig) -> list:
 def render_json_lines(rows: list) -> str:
     out = []
     for row in rows:
-        line = {}
-        for key in _FIELDS:
-            if key not in row:
-                continue
-            if key in ("mean", "stderr"):
-                line[key] = float(row[key])
-            elif key in ("n_samples", "seed"):
-                line[key] = int(row[key])
-            elif key == "passed":
-                line[key] = row[key] == "true"
-            else:
-                line[key] = row[key]
-        # re-render reals at fixed precision: json.dumps would use repr
-        parts = []
-        for key, value in line.items():
-            if key in ("mean", "stderr"):
-                parts.append(f'"{key}": {value:.17g}')
-            elif isinstance(value, bool):
-                parts.append(f'"{key}": {"true" if value else "false"}')
-            elif isinstance(value, int):
-                parts.append(f'"{key}": {value}')
-            else:
-                parts.append(f'"{key}": {json.dumps(value)}')
+        # numbers and true/false are already fixed-precision JSON text in the
+        # rows, so they go in bare; json.dumps would re-render reals with repr
+        parts = [
+            f'"{key}": {row[key] if key in _BARE_JSON else json.dumps(row[key])}'
+            for key in _FIELDS
+            if key in row
+        ]
         out.append("{" + ", ".join(parts) + "}")
     return "\n".join(out) + "\n"
 

@@ -175,7 +175,8 @@ def _coerce(key: str, kind: str, token: str, problems: list):
         return None
 
 
-def _format_value(kind: str, value) -> str:
+def format_value(kind: str, value) -> str:
+    """Config value as text: ints plain, reals (and list entries) at 17 significant digits."""
     if kind == "int":
         return str(int(value))
     if kind == "real":
@@ -261,7 +262,7 @@ def emit_default_config(experiment: str) -> str:
     entry = REGISTRY[experiment]
     lines = [f"experiment = {experiment}", "seed = 0"]
     lines += [
-        f"{key} = {_format_value(kind, entry.defaults[key])}"
+        f"{key} = {format_value(kind, entry.defaults[key])}"
         for key, kind in entry.kinds.items()
     ]
     lines += ["threads = 1", "output_format = json-lines"]

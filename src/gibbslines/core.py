@@ -68,10 +68,6 @@ class Grid:
         return f"Grid(a={self.a}, b={self.b}, n={self.n})"
 
 
-def make_grid(a: float, b: float, n: int) -> Grid:
-    return Grid(a, b, n)
-
-
 @dataclass(frozen=True)
 class Curve:
     """A real-valued function sampled on a grid. All values must be finite."""
@@ -197,27 +193,9 @@ def _capped_exp(arg: np.ndarray, cap: float) -> np.ndarray:
 class Hamiltonian:
     """Interaction applied to the gap (lower curve minus upper curve)."""
 
-    def eval(self, x: float) -> float:
-        raise NotImplementedError
-
     def integrand(self, gaps: np.ndarray) -> np.ndarray:
-        """Vectorized eval; must accept +/-inf entries."""
+        """H applied elementwise; must accept +/-inf entries."""
         raise NotImplementedError
-
-
-@dataclass(frozen=True)
-class ExpHamiltonian(Hamiltonian):
-    """Soft ordering penalty exp(x)."""
-
-    cap: float = EXP_SATURATION
-
-    def eval(self, x: float) -> float:
-        if x > self.cap:
-            return math.inf
-        return math.exp(x)
-
-    def integrand(self, gaps):
-        return _capped_exp(np.array(gaps, dtype=np.float64), self.cap)
 
 
 @dataclass(frozen=True)
@@ -235,12 +213,6 @@ class ScaledExpHamiltonian(Hamiltonian):
     def rate(self) -> float:
         return self.t ** (1.0 / 3.0)
 
-    def eval(self, x: float) -> float:
-        arg = self.rate * x
-        if arg > self.cap:
-            return math.inf
-        return math.exp(arg)
-
     def integrand(self, gaps):
         # -inf * 0 never occurs: rate > 0 and gaps of -inf give arg -inf, exp 0.
         # The outer asarray: a 0-d product comes back as a numpy scalar.
@@ -249,11 +221,15 @@ class ScaledExpHamiltonian(Hamiltonian):
 
 
 @dataclass(frozen=True)
+class ExpHamiltonian(ScaledExpHamiltonian):
+    """Soft ordering penalty exp(x): the t = 1 case, whose rate is exactly 1."""
+
+    t: float = 1.0
+
+
+@dataclass(frozen=True)
 class OrderedHamiltonian(Hamiltonian):
     """Hard ordering wall: 0 for gap <= 0, +inf for gap > 0."""
-
-    def eval(self, x: float) -> float:
-        return 0.0 if x <= 0 else math.inf
 
     def integrand(self, gaps):
         gaps = np.asarray(gaps, dtype=np.float64)

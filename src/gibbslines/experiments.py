@@ -12,9 +12,12 @@ diagnostics are reported on every such estimate and degenerate runs raise
 instead of reporting quietly.
 
 All runners are bit-reproducible for a fixed (config, seed, threads) triple.
-The threads argument fans the sample budget out over independently seeded
-shards whose partial sums merge associatively, so the merged numbers do not
-depend on scheduling order.
+Every runner draws its samples through _run_shards(fn, n, seed, threads): the
+budget n is split over `threads` shards, shard i calls fn(m, rng) with the
+i-th generator of SeedSequence(seed).spawn, and the shards' result tuples
+merge field by field in shard order (arrays concatenate, ints add, moment
+accumulators fold left), so the merged numbers do not depend on scheduling
+order.
 """
 
 from __future__ import annotations
@@ -32,7 +35,6 @@ from .bridge_analytics import (
     corridor_survival,
     fit_decay_constant,
     oscillation_tail_estimate,
-    segment_log_survival,
 )
 from .bridge_sampler import bridge_batch
 from .core import (
@@ -222,16 +224,33 @@ def _shard_counts(n: int, shards: int) -> list[int]:
     return [base + (1 if i < extra else 0) for i in range(shards)]
 
 
-def _shard_rngs(seed: int, shards: int) -> list[np.random.Generator]:
-    return [np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(shards)]
+def _run_shards(fn, n: int, seed: int, threads: int) -> tuple:
+    """Run fn(m, rng) on up to `threads` shards whose m sum to n; merge the tuples.
 
-
-def _map_shards(fn, args_list, threads: int):
-    if threads <= 1 or len(args_list) <= 1:
-        return [fn(*args) for args in args_list]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        futures = [pool.submit(fn, *args) for args in args_list]
-        return [f.result() for f in futures]
+    Shard i uses the i-th generator of SeedSequence(seed).spawn and runs on a
+    thread pool when threads > 1. The shards' tuples merge field by field in
+    shard order: arrays concatenate, ints add, and accumulators (_Moments,
+    _LogMoments) fold left through their merge.
+    """
+    counts = _shard_counts(n, threads)
+    rngs = [np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(len(counts))]
+    if threads <= 1 or len(counts) <= 1:
+        parts = [fn(m, rng) for m, rng in zip(counts, rngs)]
+    else:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            parts = list(pool.map(fn, counts, rngs))
+    merged = []
+    for values in zip(*parts):
+        if isinstance(values[0], np.ndarray):
+            merged.append(np.concatenate(values))
+        elif isinstance(values[0], int):
+            merged.append(sum(values))
+        else:
+            acc = values[0]
+            for v in values[1:]:
+                acc = acc.merge(v)
+            merged.append(acc)
+    return tuple(merged)
 
 
 def _check_threads(threads: int):
@@ -582,7 +601,6 @@ def _channel_proposal_batch(frame: _SeparationFrame, m: int, rng, lo_vec, hi_vec
         c = float(frame.ext[j])
         lj, rj = float(frame.left[j]), float(frame.right[j])
         lo, hi = float(lo_vec[j]), float(hi_vec[j])
-        two_sided = np.isfinite(hi)
         anchor_pts = sorted(
             {float(frame.left[i]) for i in range(j + 1, cfg.k + 1)}
             | {float(frame.right[i]) for i in range(j + 1, cfg.k + 1)}
@@ -654,8 +672,6 @@ def run_separation_experiment(cfg: SeparationConfig, threads: int = 1) -> Experi
     _check_threads(threads)
     start = time.perf_counter()
     frame = _SeparationFrame(cfg)
-    counts = _shard_counts(cfg.n_samples, threads)
-    rngs = _shard_rngs(cfg.seed, len(counts))
 
     def shard(m, rng):
         free = _staggered_free_batch(frame, m, rng)
@@ -683,17 +699,9 @@ def run_separation_experiment(cfg: SeparationConfig, threads: int = 1) -> Experi
             int(np.sum(band_factor > -np.inf)),
         )
 
-    parts = _map_shards(shard, list(zip(counts, rngs)), threads)
-    free_lm = sep_lm = banded_lm = raised_lm = None
-    violations = 0
-    positive_band = 0
-    for pf, pb, pfb, pr, v, npos in parts:
-        free_lm = pf if free_lm is None else free_lm.merge(pf)
-        sep_lm = pb if sep_lm is None else sep_lm.merge(pb)
-        banded_lm = pfb if banded_lm is None else banded_lm.merge(pfb)
-        raised_lm = pr if raised_lm is None else raised_lm.merge(pr)
-        violations += v
-        positive_band += npos
+    free_lm, sep_lm, banded_lm, raised_lm, violations, positive_band = _run_shards(
+        shard, cfg.n_samples, cfg.seed, threads
+    )
 
     for lm, label in (
         (free_lm, "free reference weights"),
@@ -780,8 +788,6 @@ def run_z_lowerbound_experiment(cfg: SeparationConfig, threads: int = 1) -> Expe
     frame = _SeparationFrame(cfg)
     n_keep = min(cfg.n_samples, 384)
     n_inner = 256
-    counts = _shard_counts(n_keep, threads)
-    rngs = _shard_rngs(cfg.seed, len(counts))
     k, L, M = cfg.k, cfg.L, cfg.M
     iwl, iwr = frame.iwl, frame.iwr
     win_n = iwr - iwl + 1
@@ -803,22 +809,10 @@ def run_z_lowerbound_experiment(cfg: SeparationConfig, threads: int = 1) -> Expe
             osc[i] = bool(np.all(np.abs(window - chords) <= M))
             if osc[i]:
                 ens = LineEnsemble(frame.win_grid, window.copy())
-                spec_w = ConditionalSpec(
-                    1,
-                    k,
-                    (-L, L),
-                    BoundaryData(anchors[i, :, 0], anchors[i, :, 1], PLUS_INF, frame.win_floor),
-                    frame.h,
-                )
-                logw_win[i] = log_boltzmann_weight(ens, spec_w)
+                logw_win[i] = log_boltzmann_weight(ens, spec_i)
         return lw, zmean, zse, osc, logw_win
 
-    parts = _map_shards(shard, list(zip(counts, rngs)), threads)
-    lw = np.concatenate([p[0] for p in parts])
-    zmean = np.concatenate([p[1] for p in parts])
-    zse = np.concatenate([p[2] for p in parts])
-    osc = np.concatenate([p[3] for p in parts])
-    logw_win = np.concatenate([p[4] for p in parts])
+    lw, zmean, zse, osc, logw_win = _run_shards(shard, n_keep, cfg.seed, threads)
 
     weights_lm = _LogMoments.from_logs(lw)
     _require_ess(weights_lm, "separated-endpoint weights")
@@ -929,8 +923,6 @@ def run_ordering_experiment(
     probs = []
     for ti, t in enumerate(t_list):
         spec = ConditionalSpec(1, k + 1, (-2.0, 2.0), outer, ScaledExpHamiltonian(float(t)))
-        counts = _shard_counts(n_samples, threads)
-        rngs = _shard_rngs(seed + ti, len(counts))
 
         def shard(m, rng, spec=spec):
             mins = []
@@ -938,9 +930,9 @@ def run_ordering_experiment(
                 curves, _ = sample_conditional_batch(spec, grid, rng, min(DRAW_CHUNK, m - done))
                 diff = curves[:, k - 1, iw0 : iw1 + 1] - curves[:, k, iw0 : iw1 + 1]
                 mins.append(diff.min(axis=1))
-            return np.concatenate(mins)
+            return (np.concatenate(mins),)
 
-        mins = np.concatenate(_map_shards(shard, list(zip(counts, rngs)), threads))
+        (mins,) = _run_shards(shard, n_samples, seed + ti, threads)
         hits = (mins < rho).astype(np.float64)
         est = _Moments.from_samples(hits).estimate(seed)
         label = f"t={t:g}"
@@ -1064,9 +1056,6 @@ def run_fluctuation_experiment(
     c_raw = fit_decay_constant([K * factor for K, _ in usable], [p for _, p in usable])
     c_fit = max(1.0, c_raw / (factor * factor))
 
-    counts = _shard_counts(n_samples, threads)
-    rngs = _shard_rngs(seed, len(counts))
-
     def shard(m, rng):
         ranges = np.empty(m)
         zs = np.empty(m)
@@ -1083,10 +1072,7 @@ def run_fluctuation_experiment(
             maxabs[i] = max(float(np.abs(x).max()), float(np.abs(y).max()))
         return ranges, zs, maxabs
 
-    parts = _map_shards(shard, list(zip(counts, rngs)), threads)
-    ranges = np.concatenate([p[0] for p in parts])
-    zs = np.concatenate([p[1] for p in parts])
-    maxabs = np.concatenate([p[2] for p in parts])
+    ranges, zs, maxabs = _run_shards(shard, n_samples, seed, threads)
 
     estimates = [("fitted_decay_constant", _const_estimate(c_fit, 20000, seed))]
     checks = []
@@ -1194,6 +1180,21 @@ def _excursion_geometry_problems(L, M, interval, n_samples) -> list[str]:
     return problems
 
 
+def _excursion_anchors(L, x, y, interval, lo: float, hi: float, m: int, rng):
+    """Both excursion anchors (at l + L, then r - L) from exact bridge
+    conditionals truncated to [lo, hi]; returns (v1, v2, summed log band mass)."""
+    ell, r = interval
+    total = r - ell
+    mid = total - 2.0 * L
+    mu1 = ((total - L) * x + L * y) / total
+    var1 = L * (total - L) / total
+    v1, lm1 = _truncated_gaussian(mu1, math.sqrt(var1), lo, hi, rng.random(m))
+    mu2 = (L * v1 + mid * y) / (mid + L)
+    var2 = mid * L / (mid + L)
+    v2, lm2 = _truncated_gaussian(mu2, math.sqrt(var2), lo, hi, rng.random(m))
+    return v1, v2, lm1 + lm2
+
+
 def _excursion_anchor_shard(L, M, lam, x, y, interval, m, rng):
     """Anchor-level importance sampling of the excursion event; no paths.
 
@@ -1204,18 +1205,11 @@ def _excursion_anchor_shard(L, M, lam, x, y, interval, m, rng):
     for the excursion probability and the anchor-band probability.
     """
     ell, r = interval
-    total = r - ell
-    mid = total - 2.0 * L
+    mid = (r - ell) - 2.0 * L
     flo, fhi = lam * M, (lam + 4.0) * M
     b1lo, b1hi = (lam + 1.0) * M, (lam + 3.0) * M
-
-    mu1 = ((total - L) * x + L * y) / total
-    var1 = L * (total - L) / total
-    v1, lm1 = _truncated_gaussian(mu1, math.sqrt(var1), flo, fhi, rng.random(m))
-    mu2 = (L * v1 + mid * y) / (mid + L)
-    var2 = mid * L / (mid + L)
-    v2, lm2 = _truncated_gaussian(mu2, math.sqrt(var2), flo, fhi, rng.random(m))
-    mass = np.exp(lm1 + lm2)
+    v1, v2, log_mass = _excursion_anchors(L, x, y, interval, flo, fhi, m, rng)
+    mass = np.exp(log_mass)
 
     s_left = -np.expm1(-2.0 * np.clip(fhi - x, 0.0, None) * (fhi - v1) / L)
     s_right = -np.expm1(-2.0 * np.clip(fhi - y, 0.0, None) * (fhi - v2) / L)
@@ -1228,16 +1222,9 @@ def _excursion_anchor_shard(L, M, lam, x, y, interval, m, rng):
 def _excursion_pathwise_shard(L, M, lam, x, y, interval, m, rng):
     """Grid-level containment audit on proposal paths anchored in the inner band."""
     ell, r = interval
-    mid = (r - ell) - 2.0 * L
     flo, fhi = lam * M, (lam + 4.0) * M
     b1lo, b1hi = (lam + 1.0) * M, (lam + 3.0) * M
-
-    mu1 = (((r - ell) - L) * x + L * y) / (r - ell)
-    var1 = L * ((r - ell) - L) / (r - ell)
-    v1, _ = _truncated_gaussian(mu1, math.sqrt(var1), b1lo, b1hi, rng.random(m))
-    mu2 = (L * v1 + mid * y) / (mid + L)
-    var2 = mid * L / (mid + L)
-    v2, _ = _truncated_gaussian(mu2, math.sqrt(var2), b1lo, b1hi, rng.random(m))
+    v1, v2, _ = _excursion_anchors(L, x, y, interval, b1lo, b1hi, m, rng)
 
     def seg(p0, p1, a, b):
         n_pts = int(math.ceil(32.0 * (p1 - p0))) + 1
@@ -1289,16 +1276,12 @@ def estimate_excursion_probability(
     problems = _excursion_geometry_problems(L, M, interval, n_samples)
     if problems:
         raise ValidationError(problems)
-    counts = _shard_counts(n_samples, threads)
-    rngs = _shard_rngs(seed, len(counts))
-    parts = _map_shards(
+    acc, _ = _run_shards(
         lambda m, rng: _excursion_anchor_shard(L, M, lam, x, y, interval, m, rng),
-        list(zip(counts, rngs)),
+        n_samples,
+        seed,
         threads,
     )
-    acc = parts[0][0]
-    for p in parts[1:]:
-        acc = acc.merge(p[0])
     return acc.estimate(seed)
 
 
@@ -1335,18 +1318,12 @@ def run_excursion_experiment(
     start = time.perf_counter()
     ell, r = float(interval[0]), float(interval[1])
     mid = (r - ell) - 2.0 * L
-    counts = _shard_counts(n_samples, threads)
-    rngs = _shard_rngs(seed, len(counts))
-    parts = _map_shards(
+    acc_j, acc_band = _run_shards(
         lambda m, rng: _excursion_anchor_shard(L, M, lam, x, y, (ell, r), m, rng),
-        list(zip(counts, rngs)),
+        n_samples,
+        seed,
         threads,
     )
-    acc_j = parts[0][0]
-    acc_band = parts[0][1]
-    for p in parts[1:]:
-        acc_j = acc_j.merge(p[0])
-        acc_band = acc_band.merge(p[1])
     est_j = acc_j.estimate(seed)
     est_band = acc_band.estimate(seed)
     if est_j.mean <= 0.0:
@@ -1355,17 +1332,12 @@ def run_excursion_experiment(
     # chord-deviation bands are anchor-free, so they come out exactly
     p_left = float(corridor_survival(0.0, 0.0, -M, M, L, images=6))
     p_mid = float(corridor_survival(0.0, 0.0, -M, M, mid, images=6))
-    n_path = min(n_samples, 5000)
-    path_counts = _shard_counts(n_path, threads)
-    path_rngs = _shard_rngs(seed + 1, len(path_counts))
-    path_parts = _map_shards(
+    violations, path_hits, path_n = _run_shards(
         lambda m, rng: _excursion_pathwise_shard(L, M, lam, x, y, (ell, r), m, rng),
-        list(zip(path_counts, path_rngs)),
+        min(n_samples, 5000),
+        seed + 1,
         threads,
     )
-    violations = sum(p[0] for p in path_parts)
-    path_hits = sum(p[1] for p in path_parts)
-    path_n = sum(p[2] for p in path_parts)
 
     product = est_band.mean * p_left * p_mid * p_left
     product_se = est_band.stderr * p_left * p_mid * p_left

@@ -28,7 +28,7 @@ from typing import Optional
 import numpy as np
 
 from .bridge_analytics import segment_log_survival
-from .bridge_sampler import bridge_batch, free_ensemble_batch
+from .bridge_sampler import free_ensemble_batch
 from .core import (
     BoundaryData,
     Curve,
@@ -129,7 +129,6 @@ def _log_weight_batch(
 ) -> np.ndarray:
     """Log Boltzmann weight of each ensemble in the batch, shape (size,)."""
     stacked = _stack_with_boundaries(batch, upper_vals, lower_vals)
-    k = batch.shape[1]
     if isinstance(h, OrderedHamiltonian) and crossing_correction:
         return _log_ordered_survival_batch(stacked, pts, upper_vals, lower_vals, columns)
     # gap convention: lower row minus upper row; ordered configurations are negative
@@ -520,6 +519,33 @@ def _boundary_row(boundary, grid: Grid) -> np.ndarray:
     return boundary_values(boundary, grid, 0, grid.n - 1)
 
 
+def _scan(states, outers, grid: Grid, h: Hamiltonian, u: np.ndarray) -> tuple:
+    """One systematic single-site scan of S stacked (B, k, n) states.
+
+    Each state has its own outer boundary data, and all of them are driven by
+    the same uniforms u of shape (B, k, n-2), so S = 1 is the plain chain and
+    S = 2 the monotone coupling. Site order: curves top to bottom, interior
+    grid points left to right. Endpoint values stay pinned. Returns new arrays.
+    """
+    k, n = states[0].shape[1:]
+    pts = grid.points
+    # row 0 holds the upper boundary and row k + 1 the lower one
+    stacks = [
+        _stack_with_boundaries(s, _boundary_row(o.upper, grid), _boundary_row(o.lower, grid))
+        for s, o in zip(states, outers)
+    ]
+    for i in range(1, k + 1):
+        for j in range(1, n - 1):
+            w1, sigma, trap = _site_gaussian(pts, j)
+            mus = [(1.0 - w1) * st[:, i, j - 1] + w1 * st[:, i, j + 1] for st in stacks]
+            above = [st[:, i - 1, j] for st in stacks]
+            below = [st[:, i + 1, j] for st in stacks]
+            draws = _site_draw(mus, sigma, above, below, trap, h, u[:, i - 1, j - 1])
+            for st, v in zip(stacks, draws):
+                st[:, i, j] = v
+    return tuple(st[:, 1:-1].copy() for st in stacks)
+
+
 def heat_bath_scan_batch(
     curves: np.ndarray,
     grid: Grid,
@@ -532,22 +558,7 @@ def heat_bath_scan_batch(
     Site order: curves top to bottom, interior grid points left to right.
     Endpoint values stay pinned. Returns a new array.
     """
-    batch, k, n = curves.shape
-    pts = grid.points
-    upper_row = _boundary_row(outer.upper, grid)
-    lower_row = _boundary_row(outer.lower, grid)
-    out = curves.copy()
-    for i in range(k):
-        above_all = out[:, i - 1, :] if i > 0 else np.broadcast_to(upper_row, (batch, n))
-        below_all = out[:, i + 1, :] if i < k - 1 else np.broadcast_to(lower_row, (batch, n))
-        for j in range(1, n - 1):
-            w1, sigma, trap = _site_gaussian(pts, j)
-            mu = (1.0 - w1) * out[:, i, j - 1] + w1 * out[:, i, j + 1]
-            (v,) = _site_draw(
-                [mu], sigma, [above_all[:, j]], [below_all[:, j]], trap, h, u[:, i, j - 1]
-            )
-            out[:, i, j] = v
-    return out
+    return _scan([curves], [outer], grid, h, u)[0]
 
 
 def heat_bath_sweep(
@@ -592,35 +603,7 @@ def coupled_scan_batch(
     likelihood ratio in every conditioning value, so sharing the uniform
     through the inverse CDF preserves lo <= hi pointwise, exactly.
     """
-    batch, k, n = lo_curves.shape
-    pts = grid.points
-    up_lo = _boundary_row(outer_lo.upper, grid)
-    up_hi = _boundary_row(outer_hi.upper, grid)
-    dn_lo = _boundary_row(outer_lo.lower, grid)
-    dn_hi = _boundary_row(outer_hi.lower, grid)
-    out_lo = lo_curves.copy()
-    out_hi = hi_curves.copy()
-    for i in range(k):
-        above_lo = out_lo[:, i - 1, :] if i > 0 else np.broadcast_to(up_lo, (batch, n))
-        above_hi = out_hi[:, i - 1, :] if i > 0 else np.broadcast_to(up_hi, (batch, n))
-        below_lo = out_lo[:, i + 1, :] if i < k - 1 else np.broadcast_to(dn_lo, (batch, n))
-        below_hi = out_hi[:, i + 1, :] if i < k - 1 else np.broadcast_to(dn_hi, (batch, n))
-        for j in range(1, n - 1):
-            w1, sigma, trap = _site_gaussian(pts, j)
-            mu_lo = (1.0 - w1) * out_lo[:, i, j - 1] + w1 * out_lo[:, i, j + 1]
-            mu_hi = (1.0 - w1) * out_hi[:, i, j - 1] + w1 * out_hi[:, i, j + 1]
-            v_lo, v_hi = _site_draw(
-                [mu_lo, mu_hi],
-                sigma,
-                [above_lo[:, j], above_hi[:, j]],
-                [below_lo[:, j], below_hi[:, j]],
-                trap,
-                h,
-                u[:, i, j - 1],
-            )
-            out_lo[:, i, j] = v_lo
-            out_hi[:, i, j] = v_hi
-    return out_lo, out_hi
+    return _scan([lo_curves, hi_curves], [outer_lo, outer_hi], grid, h, u)
 
 
 def monotone_coupled_sweep(

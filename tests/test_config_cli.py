@@ -1,6 +1,8 @@
 import csv
+import importlib.util
 import json
 import math
+from pathlib import Path
 
 import pytest
 
@@ -248,3 +250,22 @@ class TestCli:
             if row["kind"] == "estimate" and row["mean"] not in (0.0,):
                 # a %.17g round-trip must reproduce the double exactly
                 assert float(f"{row['mean']:.17g}") == row["mean"]
+
+
+class TestRunAllScript:
+    def test_reports_match_cli_run(self, tmp_path):
+        script = Path(__file__).resolve().parents[1] / "scripts" / "run_all_experiments.py"
+        spec = importlib.util.spec_from_file_location("run_all_experiments", script)
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        names = ["separation", "excursion"]
+        argv = ["--seed", "5", "--output-dir", str(tmp_path / "all")]
+        for name in names:
+            argv += ["--only", name]
+        assert module.main(argv) == 0
+        for name in names:
+            cfg = _write(tmp_path, emit_default_config(name), f"{name}.cfg")
+            out = tmp_path / f"{name}.jsonl"
+            assert main(["run", cfg, "--seed", "5", "--output", str(out)]) == 0
+            scripted = tmp_path / "all" / f"{name}_seed5.jsonl"
+            assert scripted.read_bytes() == out.read_bytes()

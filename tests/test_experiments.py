@@ -14,7 +14,9 @@ from gibbslines.experiments import (
     ExperimentReport,
     SeparationConfig,
     _LogMoments,
+    _Moments,
     _gamma_tilted_log_pdf,
+    _run_shards,
     _shard_counts,
     _sine_tilted_height,
     _sine_tilted_log_pdf,
@@ -299,6 +301,30 @@ class TestReportAccessors:
             name="demo", config={}, checks=[("a", True, ""), ("b", False, "bad")]
         )
         assert not rep.passed
+
+
+class TestRunShards:
+    @staticmethod
+    def _toy_shard(m, rng):
+        x = rng.standard_normal(m)
+        return x, m, _Moments.from_samples(x), _LogMoments.from_logs(x)
+
+    @pytest.mark.parametrize("threads", [1, 2, 3])
+    def test_merge_matches_serial_left_fold(self, threads):
+        n, seed = 10, 17
+        counts = _shard_counts(n, threads)
+        rngs = [np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(len(counts))]
+        # serial evaluation of the same shard generators; threads > 1 runs the pool
+        parts = [self._toy_shard(m, rng) for m, rng in zip(counts, rngs)]
+        x, total, mom, logmom = _run_shards(self._toy_shard, n, seed, threads)
+        # arrays in shard order, ints summed, accumulators folded left
+        assert np.array_equal(x, np.concatenate([p[0] for p in parts]))
+        assert total == n
+        mom_fold, log_fold = parts[0][2], parts[0][3]
+        for p in parts[1:]:
+            mom_fold, log_fold = mom_fold.merge(p[2]), log_fold.merge(p[3])
+        assert mom == mom_fold
+        assert logmom == log_fold
 
 
 class TestProposalHelpers:
