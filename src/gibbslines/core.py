@@ -13,7 +13,7 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Union
 
 import numpy as np
@@ -222,9 +222,10 @@ class ScaledExpHamiltonian(Hamiltonian):
 
 @dataclass(frozen=True)
 class ExpHamiltonian(ScaledExpHamiltonian):
-    """Soft ordering penalty exp(x): the t = 1 case, whose rate is exactly 1."""
+    """Soft ordering penalty exp(x): the t = 1 case, whose rate is exactly 1.
+    t is pinned, so the only settable field stays cap, positional or not."""
 
-    t: float = 1.0
+    t: float = field(default=1.0, init=False, repr=False)
 
 
 @dataclass(frozen=True)

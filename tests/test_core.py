@@ -109,9 +109,16 @@ class TestHamiltonians:
 
     def test_scaled_exp_t1_matches_plain(self):
         xs = np.linspace(-3, 3, 41)
-        assert np.array_equal(
-            ScaledExpHamiltonian(1.0).integrand(xs), ExpHamiltonian().integrand(xs)
-        )
+        plain = np.exp(xs)
+        assert np.array_equal(ScaledExpHamiltonian(1.0).integrand(xs), plain)
+        assert np.array_equal(ExpHamiltonian().integrand(xs), plain)
+
+    def test_exp_fields(self):
+        # t is pinned at 1; a positional argument still sets the cap
+        assert ExpHamiltonian(700.0) == ExpHamiltonian(cap=700.0)
+        assert ExpHamiltonian(700.0).t == 1.0
+        with pytest.raises(TypeError):
+            ExpHamiltonian(t=2.0)
 
     @pytest.mark.parametrize("x,expected", [(-1.0, 0.0), (0.0, 0.0), (1e-9, math.inf)])
     def test_ordered_cases(self, x, expected):
