@@ -14,15 +14,17 @@ import sys
 import time
 from pathlib import Path
 
-from gibbslines.cli import default_output_path, render_csv, render_json_lines, report_rows
-from gibbslines.config import REGISTRY, emit_default_config, parse_config, run_experiment
+from gibbslines.cli import default_output_path, render, report_rows
+from gibbslines.config import (
+    OUTPUT_FORMATS, REGISTRY, emit_default_config, parse_config, run_experiment
+)
 
 
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--seed", type=int, default=None, help="override every config's seed")
     ap.add_argument("--output-dir", default="reports", help="where report files go")
-    ap.add_argument("--format", choices=("json-lines", "csv"), default="json-lines")
+    ap.add_argument("--format", choices=OUTPUT_FORMATS, default="json-lines")
     ap.add_argument(
         "--only", action="append", default=None, metavar="NAME",
         help="run just this experiment (repeatable)",
@@ -48,8 +50,7 @@ def main(argv=None) -> int:
         report = run_experiment(config)
         elapsed = time.perf_counter() - t0
 
-        rows = report_rows(report, config)
-        text = render_json_lines(rows) if args.format == "json-lines" else render_csv(rows)
+        text = render(report_rows(report, config), args.format)
         path = out_dir / Path(default_output_path(config)).name
         path.write_text(text)
 

@@ -23,6 +23,8 @@ from .bridge_sampler import bridge_batch
 from .errors import InvalidInterval, NonPositiveArgument, ZeroHits
 
 INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
+BARRIER_MC_BATCH = 20000  # bridges sampled at once by barrier_tail_mc
+OSCILLATION_BATCH = 5000  # bridges sampled at once by oscillation_tail_estimate
 
 
 def _check_interval(a: float, b: float):
@@ -121,7 +123,6 @@ def barrier_tail_mc(
     side: str = "min",
     grid_n: int = 65,
     crossing_correction: bool = True,
-    batch: int = 20000,
 ) -> McEstimate:
     """MC estimate of P(inf <= beta) (side="min") or P(sup >= beta) (side="max")."""
     _check_interval(a, b)
@@ -136,7 +137,7 @@ def barrier_tail_mc(
     chunks = []
     done = 0
     while done < n:
-        m = min(batch, n - done)
+        m = min(BARRIER_MC_BATCH, n - done)
         vals = bridge_batch(pts, x, y, rng, m)
         gaps0 = vals[:, :-1] - beta
         gaps1 = vals[:, 1:] - beta
@@ -194,7 +195,6 @@ def oscillation_tail_estimate(
     x: float = 0.0,
     y: float = 0.0,
     interval: tuple[float, float] = (0.0, 1.0),
-    batch: int = 5000,
 ) -> McEstimate:
     """MC estimate of P(sup |B(u) - B(v)| >= K sqrt(d) over pairs with |u - v| <= d).
 
@@ -217,7 +217,7 @@ def oscillation_tail_estimate(
     hits = []
     done = 0
     while done < n:
-        m = min(batch, n - done)
+        m = min(OSCILLATION_BATCH, n - done)
         vals = bridge_batch(pts, x, y, rng, m)
         roll_max = maximum_filter1d(vals, size=size, axis=1, mode="nearest", origin=origin)
         roll_min = minimum_filter1d(vals, size=size, axis=1, mode="nearest", origin=origin)

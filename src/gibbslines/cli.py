@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import io
 import json
 import os
@@ -21,7 +22,7 @@ import time
 
 from . import __version__
 from .config import (
-    REGISTRY, RunConfig, emit_default_config, format_value, parse_config, run_experiment
+    REGISTRY, RunConfig, emit_default_config, format_value, kind_of, parse_config, run_experiment
 )
 from .errors import GibbsLinesError
 
@@ -32,23 +33,23 @@ _BARE_JSON = ("mean", "stderr", "n_samples", "seed", "passed")
 
 def report_rows(report, config: RunConfig) -> list:
     """Flatten a report into ordered rows shared by both output formats."""
-    entry = REGISTRY[config.experiment]
+    defaults = REGISTRY[config.experiment].defaults
     rows = [
         {"kind": "meta", "label": "version", "detail": __version__},
         {"kind": "meta", "label": "experiment", "detail": config.experiment},
         {"kind": "meta", "label": "seed", "detail": str(config.seed)},
         {"kind": "meta", "label": "threads", "detail": str(config.threads)},
     ]
-    for key, kind in entry.kinds.items():
-        text = format_value(kind, config.parameters[key])
+    for key, default in defaults.items():
+        text = format_value(kind_of(default), config.parameters[key])
         rows.append({"kind": "meta", "label": f"config.{key}", "detail": text})
     for label, est in report.estimates:
         rows.append(
             {
                 "kind": "estimate",
                 "label": label,
-                "mean": f"{est.mean:.17g}",
-                "stderr": f"{est.stderr:.17g}",
+                "mean": format_value("real", est.mean),
+                "stderr": format_value("real", est.stderr),
                 "n_samples": str(est.n_samples),
                 "seed": str(est.seed),
             }
@@ -82,6 +83,11 @@ def render_csv(rows: list) -> str:
     return buf.getvalue()
 
 
+def render(rows: list, output_format: str) -> str:
+    """Report text in one of config.OUTPUT_FORMATS."""
+    return render_json_lines(rows) if output_format == "json-lines" else render_csv(rows)
+
+
 def default_output_path(config: RunConfig) -> str:
     directory = os.environ.get(OUTPUT_DIR_ENV, ".")
     ext = "jsonl" if config.output_format == "json-lines" else "csv"
@@ -97,15 +103,10 @@ def _cmd_run(args) -> int:
         return 2
     try:
         config = parse_config(text)
-        if args.seed is not None or args.threads is not None or args.output is not None:
-            config = RunConfig(
-                experiment=config.experiment,
-                parameters=config.parameters,
-                seed=config.seed if args.seed is None else args.seed,
-                output_path=config.output_path if args.output is None else args.output,
-                output_format=config.output_format,
-                threads=config.threads if args.threads is None else args.threads,
-            )
+        overrides = {"seed": args.seed, "threads": args.threads, "output_path": args.output}
+        config = dataclasses.replace(
+            config, **{key: v for key, v in overrides.items() if v is not None}
+        )
         started = time.perf_counter()
         report = run_experiment(config)
         elapsed = time.perf_counter() - started
@@ -113,8 +114,7 @@ def _cmd_run(args) -> int:
         print(f"error: {err}", file=sys.stderr)
         return 2
     path = config.output_path or default_output_path(config)
-    rows = report_rows(report, config)
-    text_out = render_json_lines(rows) if config.output_format == "json-lines" else render_csv(rows)
+    text_out = render(report_rows(report, config), config.output_format)
     parent = os.path.dirname(path)
     if parent:
         os.makedirs(parent, exist_ok=True)

@@ -2,8 +2,9 @@
 
 A config file is one `key = value` pair per line with `#` comments. No
 nesting: list-valued parameters are comma-separated scalars. Every experiment
-registers its parameter names, types, and defaults here, so a config can be
-fully validated before any sampling starts and `emit_default_config` output
+registers its parameter names and defaults here, once; a parameter's kind
+(int, real or real_list) is read off its default's type. So a config can be
+fully validated before any sampling starts, and `emit_default_config` output
 round-trips through `parse_config`.
 """
 
@@ -37,103 +38,49 @@ class RunConfig:
 
 @dataclass(frozen=True)
 class _ExperimentEntry:
-    # parameter name -> kind in {"int", "real", "real_list"}; order is the
-    # emit order, defaults double as the documented example values
-    kinds: dict
+    # parameter name -> default; order is the emit order, and each default's
+    # type gives the parameter's kind (see kind_of)
     defaults: dict
     dispatch: Callable
     precheck: Callable | None = None
 
 
-def _separation_params(p: dict, seed: int) -> SeparationConfig:
-    return SeparationConfig(
-        k=p["k"], L=p["L"], t=p["t"], M=p["M"], n_samples=p["n_samples"], seed=seed
-    )
-
-
 def _separation_precheck(p: dict, seed: int) -> list:
     try:
-        _separation_params(p, seed)
+        SeparationConfig(seed=seed, **p)
     except ValidationError as err:
         return err.problems
     return []
 
 
+# Each dispatch names its runner inside the lambda body, so the runner is
+# looked up when the lambda runs and a rebound module attribute is honoured.
 REGISTRY = {
     "separation": _ExperimentEntry(
-        kinds={"k": "int", "L": "real", "t": "real", "M": "real", "n_samples": "int"},
         defaults={"k": 1, "L": 1.0, "t": 1000.0, "M": 1.0, "n_samples": 4000},
         dispatch=lambda p, seed, threads: run_separation_experiment(
-            _separation_params(p, seed), threads=threads
+            SeparationConfig(seed=seed, **p), threads=threads
         ),
         precheck=_separation_precheck,
     ),
     "z_lowerbound": _ExperimentEntry(
-        kinds={"k": "int", "L": "real", "t": "real", "M": "real", "n_samples": "int"},
         defaults={"k": 2, "L": 1.0, "t": 100.0, "M": 1.0, "n_samples": 2000},
         dispatch=lambda p, seed, threads: run_z_lowerbound_experiment(
-            _separation_params(p, seed), threads=threads
+            SeparationConfig(seed=seed, **p), threads=threads
         ),
         precheck=_separation_precheck,
     ),
     "ordering": _ExperimentEntry(
-        kinds={
-            "k": "int",
-            "t_list": "real_list",
-            "gap": "real",
-            "rho": "real",
-            "n_samples": "int",
-        },
-        defaults={
-            "k": 2,
-            "t_list": [1.0, 8.0, 64.0],
-            "gap": 1.0,
-            "rho": 0.25,
-            "n_samples": 600,
-        },
-        dispatch=lambda p, seed, threads: run_ordering_experiment(
-            k=p["k"],
-            t_list=p["t_list"],
-            gap=p["gap"],
-            rho=p["rho"],
-            n_samples=p["n_samples"],
-            seed=seed,
-            threads=threads,
-        ),
+        defaults={"k": 2, "t_list": [1.0, 8.0, 64.0], "gap": 1.0, "rho": 0.25, "n_samples": 600},
+        dispatch=lambda p, seed, threads: run_ordering_experiment(**p, seed=seed, threads=threads),
     ),
     "fluctuation": _ExperimentEntry(
-        kinds={
-            "d": "real",
-            "K_list": "real_list",
-            "boundary_box": "real",
-            "n_samples": "int",
-        },
-        defaults={
-            "d": 0.25,
-            "K_list": [1.0, 2.0, 3.0],
-            "boundary_box": 2.0,
-            "n_samples": 1200,
-        },
+        defaults={"d": 0.25, "K_list": [1.0, 2.0, 3.0], "boundary_box": 2.0, "n_samples": 1200},
         dispatch=lambda p, seed, threads: run_fluctuation_experiment(
-            d=p["d"],
-            K_list=p["K_list"],
-            boundary_box=p["boundary_box"],
-            n_samples=p["n_samples"],
-            seed=seed,
-            threads=threads,
+            **p, seed=seed, threads=threads
         ),
     ),
     "excursion": _ExperimentEntry(
-        kinds={
-            "L": "real",
-            "M": "real",
-            "lam": "real",
-            "x": "real",
-            "y": "real",
-            "interval_left": "real",
-            "interval_right": "real",
-            "n_samples": "int",
-        },
         defaults={
             "L": 1.0,
             "M": 1.0,
@@ -145,18 +92,18 @@ REGISTRY = {
             "n_samples": 20000,
         },
         dispatch=lambda p, seed, threads: run_excursion_experiment(
-            L=p["L"],
-            M=p["M"],
-            lam=p["lam"],
-            x=p["x"],
-            y=p["y"],
+            **{key: v for key, v in p.items() if not key.startswith("interval_")},
             interval=(p["interval_left"], p["interval_right"]),
-            n_samples=p["n_samples"],
             seed=seed,
             threads=threads,
         ),
     ),
 }
+
+
+def kind_of(default) -> str:
+    """A parameter's kind, read off its default: int, real or real_list."""
+    return {int: "int", float: "real", list: "real_list"}[type(default)]
 
 
 def _coerce(key: str, kind: str, token: str, problems: list):
@@ -234,10 +181,10 @@ def parse_config(text: str) -> RunConfig:
 
     params = dict(entry.defaults)
     for key, token in pairs.items():
-        if key not in entry.kinds:
+        if key not in entry.defaults:
             problems.append(f"{key}: not a parameter of experiment {experiment!r}")
             continue
-        value = _coerce(key, entry.kinds[key], token, problems)
+        value = _coerce(key, kind_of(entry.defaults[key]), token, problems)
         if value is not None:
             params[key] = value
     if not problems and entry.precheck is not None:
@@ -262,8 +209,7 @@ def emit_default_config(experiment: str) -> str:
     entry = REGISTRY[experiment]
     lines = [f"experiment = {experiment}", "seed = 0"]
     lines += [
-        f"{key} = {format_value(kind, entry.defaults[key])}"
-        for key, kind in entry.kinds.items()
+        f"{key} = {format_value(kind_of(value), value)}" for key, value in entry.defaults.items()
     ]
     lines += ["threads = 1", "output_format = json-lines"]
     return "\n".join(lines) + "\n"

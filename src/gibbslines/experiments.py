@@ -2,14 +2,13 @@
 
 Each runner assembles a seeded Monte Carlo study around one quantitative
 claim about softly ordered bridge ensembles and returns an ExperimentReport:
-point estimates with standard errors, named pass/fail checks, and the wall
-time. Estimates of reweighted-measure probabilities use self-normalized
-importance sampling from the free bridge law; the rare-event numerators come
-from proposals whose anchor values are drawn from exact bridge conditionals
-truncated to the event bands, so every density ratio is a product of Gaussian
-band masses and stays available in closed form. Effective-sample-size
-diagnostics are reported on every such estimate and degenerate runs raise
-instead of reporting quietly.
+point estimates with standard errors and named pass/fail checks. Estimates
+of reweighted-measure probabilities use self-normalized importance sampling
+from the free bridge law; the rare-event numerators come from proposals whose
+anchor values are drawn from exact bridge conditionals truncated to the event
+bands, so every density ratio is a product of Gaussian band masses and stays
+available in closed form. Effective-sample-size diagnostics are reported on
+every such estimate and degenerate runs raise instead of reporting quietly.
 
 All runners are bit-reproducible for a fixed (config, seed, threads) triple.
 Every runner draws its samples through _run_shards(fn, n, seed, threads): the
@@ -23,9 +22,8 @@ order.
 from __future__ import annotations
 
 import math
-import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -93,13 +91,11 @@ __all__ = [
 
 @dataclass
 class ExperimentReport:
-    """Outcome of one experiment run: estimates, named checks, and timing."""
+    """Outcome of one experiment run: estimates and named checks."""
 
     name: str
-    config: dict
     estimates: list = field(default_factory=list)
     checks: list = field(default_factory=list)
-    runtime_seconds: float = 0.0
 
     @property
     def passed(self) -> bool:
@@ -364,7 +360,6 @@ class _SeparationFrame:
         k, L, M = cfg.k, cfg.L, cfg.M
         self.grid = cfg.build_grid()
         self.pts = self.grid.points
-        self.delta = self.grid.spacing
         self.left = cfg.left_ends()
         self.right = cfg.right_ends()
         self.li = np.array([self.grid.index_of(float(v)) for v in self.left])
@@ -480,7 +475,7 @@ def _banded_log_factor(frame: _SeparationFrame, batch: np.ndarray) -> np.ndarray
 
 def _sine_tilted_height(width: float, g: np.ndarray, u: np.ndarray):
     """Sample heights from density proportional to exp(-g x) sin(pi x / width)
-    on (0, width); returns (x, log_pdf).
+    on (0, width).
 
     This is the stationary profile of a bridge conditioned to stay in a slab
     while its unconditioned mean sags below the floor at linear rate g: the
@@ -504,8 +499,7 @@ def _sine_tilted_height(width: float, g: np.ndarray, u: np.ndarray):
         x_hi = np.where(below, x_hi, mid)
     x = 0.5 * (x_lo + x_hi)
     x = np.clip(x, 1e-12 * width, (1.0 - 1e-12) * width)
-    log_pdf = -gg * x + np.log(np.sin(b * x)) - np.log(norm)
-    return np.where(g < 0, width - x, x), log_pdf
+    return np.where(g < 0, width - x, x)
 
 
 def _sine_tilted_log_pdf(width: float, g: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -518,14 +512,12 @@ def _sine_tilted_log_pdf(width: float, g: np.ndarray, x: np.ndarray) -> np.ndarr
 
 
 def _gamma_tilted_height(g: np.ndarray, rng, m: int):
-    """Sample heights from density g^2 x exp(-g x) on (0, inf); returns (x, log_pdf).
+    """Sample heights from density g^2 x exp(-g x) on (0, inf).
 
     The linear factor is the repulsion of a path conditioned to stay above a
     barrier its mean sags below at rate g.
     """
-    x = rng.gamma(2.0, 1.0 / g, size=m)
-    x = np.maximum(x, 1e-300)
-    return x, _gamma_tilted_log_pdf(g, x)
+    return np.maximum(rng.gamma(2.0, 1.0 / g, size=m), 1e-300)
 
 
 def _gamma_tilted_log_pdf(g: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -563,12 +555,12 @@ def _channel_anchor(mu, sd, lo: float, hi: float, rng, m: int):
     v_tn, _ = _truncated_gaussian(mu, sd, lo, hi, rng.random(m))
     g = (lo - mu) / (sd * sd)
     if np.isfinite(hi):
-        x_t, _ = _sine_tilted_height(hi - lo, g, rng.random(m))
+        x_t = _sine_tilted_height(hi - lo, g, rng.random(m))
         v = np.where(pick_tn, v_tn, lo + x_t)
         lq_tilt = _sine_tilted_log_pdf(hi - lo, g, v - lo)
     else:
         g = np.maximum(g, 0.25 / sd)
-        x_t, _ = _gamma_tilted_height(g, rng, m)
+        x_t = _gamma_tilted_height(g, rng, m)
         v = np.where(pick_tn, v_tn, lo + x_t)
         lq_tilt = _gamma_tilted_log_pdf(g, np.maximum(v - lo, 1e-300))
     log_phi = _log_normal_pdf(v, mu, sd)
@@ -670,7 +662,6 @@ def run_separation_experiment(cfg: SeparationConfig, threads: int = 1) -> Experi
     the endpoint event samplewise by construction.
     """
     _check_threads(threads)
-    start = time.perf_counter()
     frame = _SeparationFrame(cfg)
 
     def shard(m, rng):
@@ -758,13 +749,7 @@ def run_separation_experiment(cfg: SeparationConfig, threads: int = 1) -> Experi
             f"{violations} samplewise violations",
         ),
     ]
-    return ExperimentReport(
-        name="separation",
-        config={**asdict(cfg), "threads": threads},
-        estimates=estimates,
-        checks=checks,
-        runtime_seconds=time.perf_counter() - start,
-    )
+    return ExperimentReport(name="separation", estimates=estimates, checks=checks)
 
 
 # ---------------------------------------------------------------------------
@@ -784,7 +769,6 @@ def run_z_lowerbound_experiment(cfg: SeparationConfig, threads: int = 1) -> Expe
     sample count is min(n_samples, 384).
     """
     _check_threads(threads)
-    start = time.perf_counter()
     frame = _SeparationFrame(cfg)
     n_keep = min(cfg.n_samples, 384)
     n_inner = 256
@@ -864,13 +848,7 @@ def run_z_lowerbound_experiment(cfg: SeparationConfig, threads: int = 1) -> Expe
         ),
         ("chord_band_weight", osc_ok, osc_detail),
     ]
-    return ExperimentReport(
-        name="z_lowerbound",
-        config={**asdict(cfg), "threads": threads, "kept_samples": len(zmean), "inner_samples": n_inner},
-        estimates=estimates,
-        checks=checks,
-        runtime_seconds=time.perf_counter() - start,
-    )
+    return ExperimentReport(name="z_lowerbound", estimates=estimates, checks=checks)
 
 
 # ---------------------------------------------------------------------------
@@ -912,7 +890,6 @@ def run_ordering_experiment(
     if problems:
         raise ValidationError(problems)
 
-    start = time.perf_counter()
     grid = Grid(-2.0, 2.0, 129)
     iw0, iw1 = grid.index_of(-1.0), grid.index_of(1.0)
     levels = gap * np.arange(k, -1, -1, dtype=np.float64)
@@ -977,21 +954,7 @@ def run_ordering_experiment(
             "; ".join(pieces) if pieces else "single penalty scale, nothing to compare",
         )
     )
-    return ExperimentReport(
-        name="ordering",
-        config={
-            "k": k,
-            "t_list": [float(t) for t in t_list],
-            "gap": gap,
-            "rho": rho,
-            "n_samples": n_samples,
-            "seed": seed,
-            "threads": threads,
-        },
-        estimates=estimates,
-        checks=checks,
-        runtime_seconds=time.perf_counter() - start,
-    )
+    return ExperimentReport(name="ordering", estimates=estimates, checks=checks)
 
 
 # ---------------------------------------------------------------------------
@@ -1035,7 +998,6 @@ def run_fluctuation_experiment(
     if problems:
         raise ValidationError(problems)
 
-    start = time.perf_counter()
     grid = Grid(-1.0, 1.0, 65)
     h = ScaledExpHamiltonian(1.0)
     pts = grid.points
@@ -1138,20 +1100,7 @@ def run_fluctuation_experiment(
         quad_detail = "all mixture estimates degenerate (0 or 1); nothing to fit"
     checks.append(("quadratic_decay_fit", bool(quad_ok), quad_detail))
 
-    return ExperimentReport(
-        name="fluctuation",
-        config={
-            "d": d,
-            "K_list": [float(K) for K in K_list],
-            "boundary_box": boundary_box,
-            "n_samples": n_samples,
-            "seed": seed,
-            "threads": threads,
-        },
-        estimates=estimates,
-        checks=checks,
-        runtime_seconds=time.perf_counter() - start,
-    )
+    return ExperimentReport(name="fluctuation", estimates=estimates, checks=checks)
 
 
 # ---------------------------------------------------------------------------
@@ -1315,7 +1264,6 @@ def run_excursion_experiment(
     if problems:
         raise ValidationError(problems)
 
-    start = time.perf_counter()
     ell, r = float(interval[0]), float(interval[1])
     mid = (r - ell) - 2.0 * L
     acc_j, acc_band = _run_shards(
@@ -1374,20 +1322,4 @@ def run_excursion_experiment(
             f"log P = {math.log(est_j.mean):.6g} >= -D M^2/L with fitted D = {d_fit:.6g}",
         ),
     ]
-    return ExperimentReport(
-        name="excursion",
-        config={
-            "L": L,
-            "M": M,
-            "lam": lam,
-            "x": x,
-            "y": y,
-            "interval": [ell, r],
-            "n_samples": n_samples,
-            "seed": seed,
-            "threads": threads,
-        },
-        estimates=estimates,
-        checks=checks,
-        runtime_seconds=time.perf_counter() - start,
-    )
+    return ExperimentReport(name="excursion", estimates=estimates, checks=checks)

@@ -47,6 +47,8 @@ from .errors import (
     RejectionBudgetExhausted,
 )
 
+Z_BATCH = 5000  # free ensembles weighed at once by estimate_Z
+
 
 @dataclass(frozen=True)
 class ConditionalSpec:
@@ -183,12 +185,7 @@ def log_boltzmann_weight(
     """
     if ens.k != spec.n_curves:
         raise LengthMismatch(f"ensemble has {ens.k} curves, spec wants {spec.n_curves}")
-    grid = ens.grid
-    ia, ib = grid.index_of(spec.interval[0]), grid.index_of(spec.interval[1])
-    pts = grid.points[ia : ib + 1]
-    upper = boundary_values(spec.boundary.upper, grid, ia, ib)
-    lower = boundary_values(spec.boundary.lower, grid, ia, ib)
-    columns = _integration_columns(pts, grid, spec, ia)
+    ia, ib, pts, upper, lower, columns = _prepared_slice(spec, ens.grid)
     lw = _log_weight_batch(
         ens.curves[None, :, ia : ib + 1], pts, upper, lower,
         spec.hamiltonian, columns, crossing_correction,
@@ -213,7 +210,6 @@ def estimate_Z(
     n: int,
     seed: int,
     crossing_correction: bool = True,
-    batch: int = 5000,
 ) -> McEstimate:
     """MC estimate of the conditional normalizer Z = E_free[W] in (0, 1]."""
     ia, ib, pts, upper, lower, columns = _prepared_slice(spec, grid)
@@ -221,7 +217,7 @@ def estimate_Z(
     weights = []
     done = 0
     while done < n:
-        m = min(batch, n - done)
+        m = min(Z_BATCH, n - done)
         cand = free_ensemble_batch(pts, spec.boundary.x_vec, spec.boundary.y_vec, rng, m)
         lw = _log_weight_batch(cand, pts, upper, lower, spec.hamiltonian, columns, crossing_correction)
         weights.append(np.exp(lw))
@@ -384,6 +380,7 @@ def first_hitting_domain(
 LATTICE_POINTS = 1024
 TAIL_MASS = 1e-12
 LATTICE_HALF_WIDTH = 8.0  # in units of the free conditional standard deviation
+MAX_WIDEN = 40  # lattice widenings per site before giving up
 
 
 def _site_gaussian(pts: np.ndarray, j: int):
@@ -462,7 +459,7 @@ def _invert_cdf(vs, cdf, u):
     return v0 + np.clip(frac, 0.0, 1.0) * (v1 - v0)
 
 
-def _site_draw(mu_list, sigma, above_list, below_list, trap, h, u, max_widen: int = 40):
+def _site_draw(mu_list, sigma, above_list, below_list, trap, h, u):
     """Inverse-CDF draws for one or two states on one shared value lattice.
 
     mu_list/above_list/below_list hold (B,) arrays, one per state. The lattice
@@ -480,7 +477,7 @@ def _site_draw(mu_list, sigma, above_list, below_list, trap, h, u, max_widen: in
         fin = np.isfinite(below)
         hi = np.where(fin, np.maximum(hi, np.where(fin, below, hi) + 2 * sigma), hi)
     base = np.linspace(0.0, 1.0, LATTICE_POINTS)
-    for _ in range(max_widen):
+    for _ in range(MAX_WIDEN):
         vs = (hi - lo)[:, None] * base[None, :]
         vs += lo[:, None]
         log_dens = [

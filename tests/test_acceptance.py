@@ -358,12 +358,6 @@ class AmplifiedExpHamiltonian(Hamiltonian):
     amplitude: float
     cap: float = EXP_SATURATION
 
-    def eval(self, x: float) -> float:
-        arg = self.rate * x
-        if arg > self.cap:
-            return math.inf
-        return self.amplitude * math.exp(arg)
-
     def integrand(self, gaps):
         gaps = np.asarray(gaps, dtype=np.float64)
         arg = self.rate * gaps

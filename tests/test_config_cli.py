@@ -6,11 +6,13 @@ from pathlib import Path
 
 import pytest
 
-from gibbslines.cli import main
+from gibbslines import __version__
+from gibbslines.cli import main, render_json_lines, report_rows
 from gibbslines.config import (
     REGISTRY,
     RunConfig,
     emit_default_config,
+    kind_of,
     parse_config,
     run_experiment,
 )
@@ -27,6 +29,77 @@ t = 100
 M = 1.0
 n_samples = 2000
 """
+
+# emit_default_config output, pinned; each value is printed by format_value
+# under the kind that its default's type gives
+DEFAULT_CONFIG_TEXT = {
+    "excursion": """\
+experiment = excursion
+seed = 0
+L = 1
+M = 1
+lam = 4
+x = 0
+y = 0
+interval_left = 0
+interval_right = 4
+n_samples = 20000
+threads = 1
+output_format = json-lines
+""",
+    "fluctuation": """\
+experiment = fluctuation
+seed = 0
+d = 0.25
+K_list = 1, 2, 3
+boundary_box = 2
+n_samples = 1200
+threads = 1
+output_format = json-lines
+""",
+    "ordering": """\
+experiment = ordering
+seed = 0
+k = 2
+t_list = 1, 8, 64
+gap = 1
+rho = 0.25
+n_samples = 600
+threads = 1
+output_format = json-lines
+""",
+    "separation": """\
+experiment = separation
+seed = 0
+k = 1
+L = 1
+t = 1000
+M = 1
+n_samples = 4000
+threads = 1
+output_format = json-lines
+""",
+    "z_lowerbound": """\
+experiment = z_lowerbound
+seed = 0
+k = 2
+L = 1
+t = 100
+M = 1
+n_samples = 2000
+threads = 1
+output_format = json-lines
+""",
+}
+
+# the kind of each parameter in emit order, as read off the defaults
+PARAMETER_KINDS = {
+    "excursion": "real real real real real real real int",
+    "fluctuation": "real real_list real int",
+    "ordering": "int real_list real real int",
+    "separation": "int real real real int",
+    "z_lowerbound": "int real real real int",
+}
 
 
 class TestParseConfig:
@@ -92,6 +165,34 @@ class TestParseConfig:
     def test_emit_unknown_experiment(self):
         with pytest.raises(ValidationError):
             emit_default_config("quantum")
+
+
+class TestEmittedText:
+    @pytest.mark.parametrize("name", sorted(REGISTRY))
+    def test_default_config_text(self, name):
+        assert emit_default_config(name) == DEFAULT_CONFIG_TEXT[name]
+
+    def test_parameter_kinds(self):
+        kinds = {
+            name: " ".join(kind_of(v) for v in entry.defaults.values())
+            for name, entry in REGISTRY.items()
+        }
+        assert kinds == PARAMETER_KINDS
+
+    def test_meta_rows_of_default_config(self):
+        cfg = parse_config(emit_default_config("ordering"))
+        rows = report_rows(ExperimentReport(name="ordering"), cfg)
+        assert render_json_lines(rows) == (
+            f'{{"kind": "meta", "label": "version", "detail": "{__version__}"}}\n'
+            '{"kind": "meta", "label": "experiment", "detail": "ordering"}\n'
+            '{"kind": "meta", "label": "seed", "detail": "0"}\n'
+            '{"kind": "meta", "label": "threads", "detail": "1"}\n'
+            '{"kind": "meta", "label": "config.k", "detail": "2"}\n'
+            '{"kind": "meta", "label": "config.t_list", "detail": "1, 8, 64"}\n'
+            '{"kind": "meta", "label": "config.gap", "detail": "1"}\n'
+            '{"kind": "meta", "label": "config.rho", "detail": "0.25"}\n'
+            '{"kind": "meta", "label": "config.n_samples", "detail": "600"}\n'
+        )
 
 
 class TestDispatch:
@@ -222,7 +323,6 @@ class TestCli:
 
         doctored = ExperimentReport(
             name="separation",
-            config={},
             estimates=[("p", McEstimate(0.5, 0.1, 10, 1))],
             checks=[("broken", False, "deliberate")],
         )

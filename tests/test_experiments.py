@@ -281,7 +281,6 @@ class TestReportAccessors:
     def test_lookup_by_label(self):
         rep = ExperimentReport(
             name="demo",
-            config={},
             estimates=[("a", McEstimate(1.0, 0.1, 10, 0))],
             checks=[("c", True, "fine")],
         )
@@ -290,16 +289,14 @@ class TestReportAccessors:
         assert rep.passed
 
     def test_missing_labels_raise(self):
-        rep = ExperimentReport(name="demo", config={})
+        rep = ExperimentReport(name="demo")
         with pytest.raises(KeyError):
             rep.estimate("absent")
         with pytest.raises(KeyError):
             rep.check("absent")
 
     def test_failed_check_flips_passed(self):
-        rep = ExperimentReport(
-            name="demo", config={}, checks=[("a", True, ""), ("b", False, "bad")]
-        )
+        rep = ExperimentReport(name="demo", checks=[("a", True, ""), ("b", False, "bad")])
         assert not rep.passed
 
 
@@ -359,7 +356,7 @@ class TestProposalHelpers:
     def test_sine_tilted_samples_match_pdf_mean(self):
         rng = np.random.default_rng(3)
         g = np.full(200000, 5.0)
-        x, _ = _sine_tilted_height(2.0, g, rng.random(200000))
+        x = _sine_tilted_height(2.0, g, rng.random(200000))
         assert np.all((x > 0.0) & (x < 2.0))
         grid = np.linspace(1e-9, 2.0 - 1e-9, 40001)
         pdf = np.exp(_sine_tilted_log_pdf(2.0, np.full_like(grid, 5.0), grid))
