@@ -26,9 +26,14 @@ from gibbslines.errors import (
     RejectionBudgetExhausted,
 )
 from gibbslines.gibbs import (
+    LOG_FLOOR,
+    LOG_LINEAR_MIN,
     ConditionalSpec,
-    _normalized_cdfs,
+    _lattice_draws,
+    _log_linear_cells,
+    _site_draw,
     _site_log_density,
+    _truncated_gaussian_draw,
     coupled_scan_batch,
     estimate_Z,
     first_hitting_domain,
@@ -401,7 +406,7 @@ class TestHeatBath:
     )
     def test_site_kernels_match_plain_formulas(self, h):
         # the in-place kernels keep the plain formulas' operation order, so the
-        # lattice densities and CDFs must agree bit for bit
+        # lattice densities and log-linear cell masses must agree bit for bit
         rng = np.random.default_rng(21)
         rows = 6
         vs = np.linspace(-6.0, 6.0, 128) + rng.uniform(-0.01, 0.01, (rows, 1))
@@ -413,11 +418,18 @@ class TestHeatBath:
             plain = -0.5 * ((vs - mu) / sigma) ** 2 - trap * pen
             logd = _site_log_density(vs, mu, sigma, above, below, trap, h)
             assert np.array_equal(logd, plain)
-            d = np.exp(plain - plain.max(axis=1, keepdims=True))
-            cells = 0.5 * (d[:, 1:] + d[:, :-1])
-            c = np.concatenate([np.zeros((rows, 1)), np.cumsum(cells, axis=1)], axis=1)
-            (cdf,) = _normalized_cdfs([logd])
-            assert np.array_equal(cdf, c / c[:, -1:])
+            if isinstance(h, OrderedHamiltonian):
+                continue  # the hard wall draws its truncated Gaussian without a lattice
+            ell = np.maximum(plain - plain.max(axis=1, keepdims=True), LOG_FLOOR)
+            d = np.exp(ell)
+            slope = np.diff(ell, axis=1)
+            steep = np.abs(slope) >= LOG_LINEAR_MIN
+            with np.errstate(divide="ignore", invalid="ignore"):
+                log_linear = (d[:, 1:] - d[:, :-1]) / slope
+            cells, slopes = _log_linear_cells(logd)
+            assert np.array_equal(slopes, slope)
+            assert np.array_equal(cells, np.where(steep, log_linear, 0.5 * (d[:, 1:] + d[:, :-1])))
+            assert np.array_equal(logd, d)
 
     def test_single_interior_site_matches_rejection_sampler(self):
         # on a 3-point grid the one-site conditional is the full conditional,
@@ -518,3 +530,167 @@ class TestMonotoneCoupling:
         with pytest.raises(OrderViolationInput):
             monotone_coupled_sweep(lo, hi, walled_lo, outer_hi, ExpHamiltonian(),
                                    np.random.default_rng(0))
+
+
+# Site-law error of the heat-bath kernel: KS = sup_u |F_ref(draw(u)) - u| over
+# 8000 midpoint uniforms, at the site scale of a 1/64-spaced grid.
+SITE_SIGMA = math.sqrt(1.0 / 128.0)
+SITE_TRAP = 1.0 / 64.0
+SITE_U = (np.arange(8000) + 0.5) / 8000
+# Soft bound 2e-5. Measured with the 1024-point trapezoid lattice this kernel
+# replaced: 1.2e-5 to 1.6e-5 per single state, 1.8e-5 and 2.03e-5 to 2.04e-5
+# in the pairs. Now at most 9e-7, except the t = 1000 squeeze at 1.09e-5.
+SOFT_KS_BOUND = 2e-5
+# Hard bound 1e-10 against scipy's truncnorm. The old lattice: 1.3e-3 for the
+# near windows, 2.5e-2 at 8 sigma off, 0.29 at 30 sigma off. Now at most 3e-13.
+HARD_KS_BOUND = 1e-10
+
+# (mean, above, below) per state
+SOFT_SITE_CASES = {
+    "free": [(0.0, math.inf, -math.inf)],
+    "near": [(0.0, math.inf, -0.15)],
+    "squeeze": [(0.0, -0.3, -math.inf)],
+    "both": [(0.0, 0.15, -0.15)],
+    "pair": [(0.0, 0.2, -0.2), (0.4, 0.6, 0.2)],
+    "free_pair": [(0.0, math.inf, -math.inf), (0.3, math.inf, -math.inf)],
+}
+HARD_SITE_CASES = {
+    "one_sided": (0.0, math.inf, -0.1),
+    "two_sided": (0.0, 0.15, -0.1),
+    "off_8_sigma": (0.0, 9 * SITE_SIGMA, 8 * SITE_SIGMA),
+    "off_30_sigma": (0.0, 31 * SITE_SIGMA, 30 * SITE_SIGMA),
+    "off_30_sigma_open": (0.0, -30 * SITE_SIGMA, -math.inf),
+}
+
+
+def _site_columns(states, rows):
+    """(mu_list, above_list, below_list) of constant (rows,) arrays."""
+    return [[np.full(rows, float(x)) for x in col] for col in zip(*states)]
+
+
+def _site_draws(h, states, u=SITE_U):
+    mus, aboves, belows = _site_columns(states, u.shape[0])
+    return _site_draw(mus, SITE_SIGMA, aboves, belows, SITE_TRAP, h, u)
+
+
+def _reference_cdf(h, mu, above, below, points=2**18):
+    # trapezoid CDF of the plain site density on a fine lattice wide enough
+    # for every case (at most 1e-9 off the exact CDF here)
+    lo = min(mu, above) - 14 * SITE_SIGMA
+    hi = max(mu, below) + 14 * SITE_SIGMA
+    v = np.linspace(lo, hi, points + 1)
+    logd = -0.5 * ((v - mu) / SITE_SIGMA) ** 2 - SITE_TRAP * (
+        h.integrand(v - above) + h.integrand(below - v)
+    )
+    d = np.exp(logd - logd.max())
+    c = np.concatenate([[0.0], np.cumsum(0.5 * (d[1:] + d[:-1]))])
+    return lambda x: np.interp(x, v, c / c[-1])
+
+
+class TestSiteLawError:
+    @pytest.mark.parametrize("case", sorted(SOFT_SITE_CASES))
+    @pytest.mark.parametrize("t", [1.0, 8.0, 100.0, 1000.0])
+    def test_soft_site_law_within_bound(self, t, case):
+        h = ScaledExpHamiltonian(t)
+        states = SOFT_SITE_CASES[case]
+        for state, draw in zip(states, _site_draws(h, states)):
+            ks = np.max(np.abs(_reference_cdf(h, *state)(draw) - SITE_U))
+            assert ks <= SOFT_KS_BOUND, f"KS {ks:.3g}"
+
+    @pytest.mark.parametrize("case", sorted(HARD_SITE_CASES))
+    def test_hard_wall_site_law_is_exact(self, case):
+        mu, above, below = HARD_SITE_CASES[case]
+        (draw,) = _site_draws(OrderedHamiltonian(), [(mu, above, below)])
+        assert np.all((below <= draw) & (draw <= above))
+        a, b = (below - mu) / SITE_SIGMA, (above - mu) / SITE_SIGMA
+        ks = np.max(np.abs(stats.truncnorm.cdf(draw, a, b, loc=mu, scale=SITE_SIGMA) - SITE_U))
+        assert ks <= HARD_KS_BOUND, f"KS {ks:.3g}"
+
+    def test_hard_wall_degenerate_window_pins_the_site(self):
+        (draw,) = _site_draws(OrderedHamiltonian(), [(0.0, 0.05, 0.05)])
+        assert np.all(draw == 0.05)
+
+    def test_hard_wall_crossed_neighbours_rejected(self):
+        with pytest.raises(OrderViolationInput):
+            _site_draws(OrderedHamiltonian(), [(0.0, -0.1, 0.1)])
+
+
+_offset = st.floats(-0.6, 0.6)
+_shift = st.floats(0.0, 0.5)
+
+
+class TestSiteCoupling:
+    # uniforms spanning [0, 1), ends included, shared by both states
+    U = np.concatenate([[0.0], (np.arange(255) + 0.5) / 256, [1.0 - 2.0**-53]])
+
+    @staticmethod
+    def _pair(mu, dmu, above, da, below, db):
+        # the higher state has the larger mean and neighbours at least as high
+        lo = (mu, above, below)
+        hi = (mu + dmu, above + da, below + db)
+        return [lo, hi]
+
+    def _assert_ordered(self, h, states, raw_draws):
+        # the branch's own draws are ordered up to rounding (the final max in
+        # _site_draw may fix ulps only), and _site_draw's exactly
+        lo, hi = raw_draws(_site_columns(states, self.U.shape[0]), self.U)
+        assert np.all(lo <= hi + 4 * np.spacing(np.abs(hi)))
+        lo, hi = _site_draws(h, states, self.U)
+        assert np.all(np.diff(lo) >= 0) and np.all(np.diff(hi) >= 0)
+        assert np.all(lo <= hi)
+
+    @settings(deadline=None, max_examples=40)
+    @given(
+        t=st.sampled_from([1.0, 100.0, 1000.0]),
+        mu=st.floats(-1.0, 1.0), dmu=_shift,
+        above=st.one_of(_offset, st.just(math.inf)), da=_shift,
+        below=st.one_of(_offset, st.just(-math.inf)), db=_shift,
+    )
+    def test_soft_draws_keep_the_order(self, t, mu, dmu, above, da, below, db):
+        h = ScaledExpHamiltonian(t)
+        states = self._pair(mu, dmu, mu + above, da, mu + below, db)
+
+        def raw(cols, u):
+            return _lattice_draws(cols[0], SITE_SIGMA, cols[1], cols[2], SITE_TRAP, h, u)
+
+        self._assert_ordered(h, states, raw)
+
+    @settings(deadline=None, max_examples=40)
+    @given(
+        mu=st.floats(-1.0, 1.0), dmu=_shift,
+        below=st.one_of(_offset, st.just(-math.inf)), db=_shift,
+        width=st.one_of(st.floats(0.0, 1.0), st.just(math.inf)), da=_shift,
+    )
+    def test_hard_wall_draws_keep_the_order(self, mu, dmu, below, db, width, da):
+        low = mu + below
+        high = (mu - 0.3 if math.isinf(low) else low) + width
+        states = self._pair(mu, dmu, high, da, low, db)
+        if states[1][2] > states[1][1]:
+            return  # the raised floor crossed the raised ceiling
+
+        def raw(cols, u):
+            return [
+                _truncated_gaussian_draw(mu, SITE_SIGMA, above, below, u)
+                for mu, above, below in zip(*cols)
+            ]
+
+        self._assert_ordered(OrderedHamiltonian(), states, raw)
+
+    def test_coupled_hard_wall_scans_stay_ordered_inside_their_windows(self):
+        n, pairs = 65, 50
+        grid = Grid(0.0, 1.0, n)
+        lo_levels, hi_levels = np.array([0.5, -0.5]), np.array([1.0, 0.0])
+        floors = {"lo": -1.0, "hi": -0.6}
+        outer_lo = BoundaryData(lo_levels, lo_levels, PLUS_INF, constant_curve(grid, floors["lo"]))
+        outer_hi = BoundaryData(hi_levels, hi_levels, PLUS_INF, constant_curve(grid, floors["hi"]))
+        lo = np.broadcast_to(lo_levels[None, :, None], (pairs, 2, n)).copy()
+        hi = np.broadcast_to(hi_levels[None, :, None], (pairs, 2, n)).copy()
+        rng = np.random.default_rng(940)
+        violations = 0
+        for _ in range(50):
+            u = rng.random((pairs, 2, n - 2))
+            lo, hi = coupled_scan_batch(lo, hi, grid, outer_lo, outer_hi, OrderedHamiltonian(), u)
+            violations += int(np.sum(lo > hi))
+            for state, floor in ((lo, floors["lo"]), (hi, floors["hi"])):
+                assert np.all(state[:, 0] >= state[:, 1]) and np.all(state[:, 1] >= floor)
+        assert violations == 0
