@@ -2,8 +2,10 @@
 """Run every registered experiment at its default budget and collect reports.
 
 Writes one report file per experiment (json-lines by default) into the
-output directory and prints a one-line check summary per run. Exit status
-is 0 only if every check of every run passed.
+output directory and prints a one-line check summary per run. A run that
+raises a library error prints `[ERROR] name: message` and the remaining
+experiments still run. Exit status is 0 only if every run finished and every
+check passed.
 
     python3 scripts/run_all_experiments.py --seed 7 --output-dir reports
 """
@@ -18,6 +20,7 @@ from gibbslines.cli import default_output_path, render, report_rows
 from gibbslines.config import (
     OUTPUT_FORMATS, REGISTRY, emit_default_config, parse_config, run_experiment
 )
+from gibbslines.errors import GibbsLinesError
 
 
 def main(argv=None) -> int:
@@ -47,7 +50,12 @@ def main(argv=None) -> int:
         config = dataclasses.replace(config, output_format=args.format, output_path=None)
 
         t0 = time.perf_counter()
-        report = run_experiment(config)
+        try:
+            report = run_experiment(config)
+        except GibbsLinesError as exc:
+            print(f"[ERROR] {name}: {exc}")
+            all_ok = False
+            continue
         elapsed = time.perf_counter() - t0
 
         text = render(report_rows(report, config), args.format)

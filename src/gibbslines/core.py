@@ -19,6 +19,7 @@ from typing import Union
 import numpy as np
 
 from .errors import (
+    GridMismatch,
     InvalidGrid,
     LengthMismatch,
     NonPositiveArgument,
@@ -57,8 +58,6 @@ class Grid:
 
     def index_of(self, x: float) -> int:
         """Index of the grid point equal to x; GridMismatch if x is off-grid."""
-        from .errors import GridMismatch
-
         j = int(round((x - self.a) / self.spacing))
         if j < 0 or j >= self.n or abs(self._points[j] - x) > 1e-9 * (self.b - self.a):
             raise GridMismatch(f"{x!r} is not a point of {self}")
@@ -105,8 +104,6 @@ def boundary_values(boundary: BoundaryCurve, grid: Grid, i0: int, i1: int) -> np
     """Values of a boundary curve on grid indices [i0, i1], sentinels filled in."""
     if isinstance(boundary, Curve):
         if boundary.grid != grid:
-            from .errors import GridMismatch
-
             raise GridMismatch("boundary curve lives on a different grid")
         return boundary.values[i0 : i1 + 1]
     if boundary == math.inf or boundary == -math.inf:

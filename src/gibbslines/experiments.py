@@ -6,17 +6,19 @@ point estimates with standard errors and named pass/fail checks. Estimates
 of reweighted-measure probabilities use self-normalized importance sampling
 from the free bridge law; the rare-event numerators come from proposals whose
 anchor values are drawn from exact bridge conditionals truncated to the event
-bands, so every density ratio is a product of Gaussian band masses and stays
-available in closed form. Effective-sample-size diagnostics are reported on
-every such estimate and degenerate runs raise instead of reporting quietly.
+bands by gibbs._truncated_gaussian, the heat bath's hard-wall draw, which
+returns each band's log Gaussian mass with the draw. Every density ratio is
+thus a product of Gaussian band masses and stays available in closed form.
+Effective-sample-size diagnostics are reported on every such estimate and
+degenerate runs raise instead of reporting quietly.
 
 All runners are bit-reproducible for a fixed (config, seed, threads) triple.
 Every runner draws its samples through _run_shards(fn, n, seed, threads): the
 budget n is split over `threads` shards, shard i calls fn(m, rng) with the
 i-th generator of SeedSequence(seed).spawn, and the shards' result tuples
-merge field by field in shard order (arrays concatenate, ints add, moment
+merge field by field in shard order (arrays concatenate, ints add, log-weight
 accumulators fold left), so the merged numbers do not depend on scheduling
-order.
+order. Plain means come from McEstimate.from_samples on the merged arrays.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
-from scipy.special import log_ndtr, logsumexp, ndtr, ndtri
+from scipy.special import logsumexp
 
 from .bridge_analytics import (
     corridor_survival,
@@ -55,6 +57,7 @@ from .gibbs import (
     ConditionalSpec,
     _log_weight_batch,
     _prepared_slice,
+    _truncated_gaussian,
     estimate_Z,
     log_boltzmann_weight,
     sample_conditional,
@@ -120,38 +123,7 @@ def _const_estimate(value: float, n: int, seed: int) -> McEstimate:
 
 
 # ---------------------------------------------------------------------------
-# mergeable sufficient statistics
-
-
-@dataclass
-class _Moments:
-    """Linear-domain running sums; merge is exact and order-independent."""
-
-    n: int = 0
-    total: float = 0.0
-    total_sq: float = 0.0
-
-    @classmethod
-    def from_samples(cls, values: np.ndarray) -> "_Moments":
-        v = np.asarray(values, dtype=np.float64)
-        return cls(n=v.size, total=float(v.sum()), total_sq=float((v * v).sum()))
-
-    def merge(self, other: "_Moments") -> "_Moments":
-        return _Moments(self.n + other.n, self.total + other.total, self.total_sq + other.total_sq)
-
-    @property
-    def mean(self) -> float:
-        return self.total / self.n
-
-    @property
-    def stderr(self) -> float:
-        if self.n < 2:
-            return 0.0
-        var = max(self.total_sq - self.total * self.total / self.n, 0.0) / (self.n - 1)
-        return math.sqrt(var / self.n)
-
-    def estimate(self, seed: int) -> McEstimate:
-        return McEstimate(mean=self.mean, stderr=self.stderr, n_samples=self.n, seed=seed)
+# mergeable importance-weight statistics
 
 
 @dataclass
@@ -225,8 +197,8 @@ def _run_shards(fn, n: int, seed: int, threads: int) -> tuple:
 
     Shard i uses the i-th generator of SeedSequence(seed).spawn and runs on a
     thread pool when threads > 1. The shards' tuples merge field by field in
-    shard order: arrays concatenate, ints add, and accumulators (_Moments,
-    _LogMoments) fold left through their merge.
+    shard order: arrays concatenate, ints add, and _LogMoments accumulators
+    fold left through their merge.
     """
     counts = _shard_counts(n, threads)
     rngs = [np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(len(counts))]
@@ -258,37 +230,32 @@ def _check_threads(threads: int):
 # truncated Gaussian proposals
 
 
-def _truncated_gaussian(mu, sigma, lo: float, hi: float, u: np.ndarray):
-    """Inverse-CDF draw of N(mu, sigma^2) conditioned to [lo, hi].
+def _band_draw(mu, sd, lo: float, hi: float, rng, m: int):
+    """m exact draws of N(mu, sd^2) truncated to [lo, hi]; returns (values, log_mass).
 
-    Returns (values, log_mass) with log_mass the log Gaussian probability of
-    the band, exact to working precision even when the band sits many sigmas
-    into a tail: the quantile inversion runs on whichever side of the mean
-    keeps the CDF values small.
+    A band whose Gaussian mass is not representable (log_mass not finite)
+    would leave a proposal without a density ratio, so it raises instead.
     """
-    mu = np.asarray(mu, dtype=np.float64)
-    a = (lo - mu) / sigma
-    b = (hi - mu) / sigma
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore", under="ignore"):
-        right = a > 0.0
-        # complementary-CDF coordinates for a right-tail band
-        qa = np.exp(log_ndtr(-a))
-        qb = np.exp(log_ndtr(-b)) if np.isfinite(hi) else np.zeros_like(qa)
-        v_right = mu + sigma * (-ndtri(qa + u * (qb - qa)))
-        lm_right = log_ndtr(-a) + np.log1p(-np.exp(log_ndtr(-b) - log_ndtr(-a)))
-        # plain CDF coordinates otherwise
-        pa = np.exp(log_ndtr(a))
-        pb = ndtr(b) if np.isfinite(hi) else np.ones_like(pa)
-        v_left = mu + sigma * ndtri(pa + u * (pb - pa))
-        lb = log_ndtr(b) if np.isfinite(hi) else np.zeros_like(pa)
-        lm_left = lb + np.log1p(-np.exp(log_ndtr(a) - lb))
-    values = np.where(right, v_right, v_left)
-    log_mass = np.where(right, lm_right, lm_left)
-    # qa underflowing to exactly zero would silently collapse the draw onto
-    # the band edge while log_mass stays finite, so fail loudly instead
-    if not np.all(np.isfinite(log_mass)) or bool(np.any(right & (qa <= 0.0))):
+    v, log_mass = _truncated_gaussian(mu, sd, lo, hi, rng.random(m))
+    if not np.all(np.isfinite(log_mass)):
         raise EffectiveSampleSizeTooSmall(0.0, ESS_THRESHOLD, "truncated proposal band")
-    return np.clip(values, lo, hi), log_mass
+    return v, log_mass
+
+
+def _bridge_point(p0: float, v0, p: float, p1: float, v1):
+    """Mean and standard deviation at p of a Brownian bridge from v0 at p0 to v1 at p1."""
+    span = p1 - p0
+    return ((p1 - p) * v0 + (p - p0) * v1) / span, math.sqrt((p - p0) * (p1 - p) / span)
+
+
+def _anchor_pair(x, y, interval, p: float, q: float, lo: float, hi: float, m: int, rng):
+    """Anchors at p < q on a bridge from x to y over `interval`, each drawn from
+    its exact bridge conditional truncated to [lo, hi], p first; returns
+    (v_p, v_q, summed log band mass)."""
+    ell, r = interval
+    v1, lm1 = _band_draw(*_bridge_point(ell, x, p, r, y), lo, hi, rng, m)
+    v2, lm2 = _band_draw(*_bridge_point(p, v1, q, r, y), lo, hi, rng, m)
+    return v1, v2, lm1 + lm2
 
 
 # ---------------------------------------------------------------------------
@@ -432,12 +399,8 @@ def _band_proposal_batch(frame: _SeparationFrame, m: int, rng):
         c = float(frame.ext[j])
         lj, rj = float(frame.left[j]), float(frame.right[j])
         lo, hi = float(frame.band_lo[j]), float(frame.band_hi[j])
-        var1 = (-L - lj) * (rj + L) / (rj - lj)
-        v1, lm1 = _truncated_gaussian(c, math.sqrt(var1), lo, hi, rng.random(m))
-        mu2 = ((rj - L) * v1 + 2.0 * L * c) / (rj + L)
-        var2 = 2.0 * L * (rj - L) / (rj + L)
-        v2, lm2 = _truncated_gaussian(mu2, math.sqrt(var2), lo, hi, rng.random(m))
-        log_mass += lm1 + lm2
+        v1, v2, lm = _anchor_pair(c, c, (lj, rj), -L, L, lo, hi, m, rng)
+        log_mass += lm
         anchors[:, j, 0] = v1
         anchors[:, j, 1] = v2
         i0, i1 = int(frame.li[j]), int(frame.ri[j])
@@ -528,18 +491,6 @@ def _log_normal_pdf(v, mu, sd):
     return -0.5 * ((v - mu) / sd) ** 2 - math.log(math.sqrt(2.0 * math.pi)) - np.log(sd)
 
 
-def _tn_log_mass(mu, sd, lo: float, hi: float) -> np.ndarray:
-    """Stable log of the Gaussian mass on [lo, hi], elementwise in mu."""
-    a = (lo - mu) / sd
-    if not np.isfinite(hi):
-        return np.asarray(log_ndtr(-a))
-    b = (hi - mu) / sd
-    la, lb = log_ndtr(-a), log_ndtr(-b)
-    right = la + np.log1p(-np.exp(np.minimum(lb - la, -1e-18)))
-    central = np.log(np.maximum(ndtr(b) - ndtr(a), 1e-300))
-    return np.where(a > 0.5, right, central)
-
-
 def _channel_anchor(mu, sd, lo: float, hi: float, rng, m: int):
     """Draw one anchor from a half/half mixture of the exact truncated free
     conditional and a floor-tilted profile; returns (v, log_ratio_term).
@@ -552,7 +503,7 @@ def _channel_anchor(mu, sd, lo: float, hi: float, rng, m: int):
     mu = np.broadcast_to(np.asarray(mu, dtype=float), (m,))
     sd = np.broadcast_to(np.asarray(sd, dtype=float), (m,))
     pick_tn = rng.random(m) < 0.5
-    v_tn, _ = _truncated_gaussian(mu, sd, lo, hi, rng.random(m))
+    v_tn, log_mass = _band_draw(mu, sd, lo, hi, rng, m)
     g = (lo - mu) / (sd * sd)
     if np.isfinite(hi):
         x_t = _sine_tilted_height(hi - lo, g, rng.random(m))
@@ -564,7 +515,7 @@ def _channel_anchor(mu, sd, lo: float, hi: float, rng, m: int):
         v = np.where(pick_tn, v_tn, lo + x_t)
         lq_tilt = _gamma_tilted_log_pdf(g, np.maximum(v - lo, 1e-300))
     log_phi = _log_normal_pdf(v, mu, sd)
-    lq_tn = log_phi - _tn_log_mass(mu, sd, lo, hi)
+    lq_tn = log_phi - log_mass
     log_q = np.logaddexp(lq_tn, lq_tilt) - math.log(2.0)
     return v, log_phi - log_q
 
@@ -599,22 +550,17 @@ def _channel_proposal_batch(frame: _SeparationFrame, m: int, rng, lo_vec, hi_vec
         )
         p_first, p_last = anchor_pts[0], anchor_pts[-1]
 
-        mu1 = c
-        sd1 = math.sqrt((p_first - lj) * (rj - p_first) / (rj - lj))
-        v_first, term = _channel_anchor(mu1, sd1, lo, hi, rng, m)
+        v_first, term = _channel_anchor(*_bridge_point(lj, c, p_first, rj, c), lo, hi, rng, m)
         log_ratio += term
-
-        mu_l = ((rj - p_last) * v_first + (p_last - p_first) * c) / (rj - p_first)
-        sd_l = math.sqrt((p_last - p_first) * (rj - p_last) / (rj - p_first))
-        v_last, term = _channel_anchor(mu_l, sd_l, lo, hi, rng, m)
+        v_last, term = _channel_anchor(
+            *_bridge_point(p_first, v_first, p_last, rj, c), lo, hi, rng, m
+        )
         log_ratio += term
 
         values = {p_first: v_first, p_last: v_last}
         prev_p, prev_v = p_first, v_first
         for p in anchor_pts[1:-1]:
-            mu = ((p_last - p) * prev_v + (p - prev_p) * v_last) / (p_last - prev_p)
-            sd = math.sqrt((p - prev_p) * (p_last - p) / (p_last - prev_p))
-            v, lm = _truncated_gaussian(mu, sd, lo, hi, rng.random(m))
+            v, lm = _band_draw(*_bridge_point(prev_p, prev_v, p, p_last, v_last), lo, hi, rng, m)
             log_ratio += lm
             values[p] = v
             prev_p, prev_v = p, v
@@ -911,12 +857,12 @@ def run_ordering_experiment(
 
         (mins,) = _run_shards(shard, n_samples, seed + ti, threads)
         hits = (mins < rho).astype(np.float64)
-        est = _Moments.from_samples(hits).estimate(seed)
+        est = McEstimate.from_samples(hits, seed)
         label = f"t={t:g}"
 
         half = len(hits) // 2
-        m1 = _Moments.from_samples(hits[:half])
-        m2 = _Moments.from_samples(hits[half:])
+        m1 = McEstimate.from_samples(hits[:half], seed)
+        m2 = McEstimate.from_samples(hits[half:], seed)
         gap12 = abs(m1.mean - m2.mean)
         allowance = 3.0 * math.hypot(m1.stderr, m2.stderr)
         if gap12 > allowance:
@@ -933,7 +879,7 @@ def run_ordering_experiment(
         estimates.extend(
             [
                 (f"near_touch_prob[{label}]", est),
-                (f"min_gap_mean[{label}]", _Moments.from_samples(mins).estimate(seed)),
+                (f"min_gap_mean[{label}]", McEstimate.from_samples(mins, seed)),
                 (f"min_gap_q05[{label}]", _const_estimate(q05, len(mins), seed)),
                 (f"min_gap_q50[{label}]", _const_estimate(q50, len(mins), seed)),
                 (f"min_gap_q95[{label}]", _const_estimate(q95, len(mins), seed)),
@@ -1044,8 +990,8 @@ def run_fluctuation_experiment(
         decay = math.exp(-K * K / (2.0 * c_fit))
         bf = (ranges >= K * rt_d).astype(np.float64)
         gb_bad = ~((maxabs <= K) & (zs >= decay))
-        p_bf = _Moments.from_samples(bf).estimate(seed)
-        p_bad = _Moments.from_samples(gb_bad.astype(np.float64)).estimate(seed)
+        p_bf = McEstimate.from_samples(bf, seed)
+        p_bad = McEstimate.from_samples(gb_bad, seed)
         bf_by_k[K] = bf
         slack = 3.0 * math.hypot(p_bf.stderr, p_bad.stderr)
         ok = p_bf.mean <= p_bad.mean + decay + slack + 1e-12
@@ -1129,35 +1075,20 @@ def _excursion_geometry_problems(L, M, interval, n_samples) -> list[str]:
     return problems
 
 
-def _excursion_anchors(L, x, y, interval, lo: float, hi: float, m: int, rng):
-    """Both excursion anchors (at l + L, then r - L) from exact bridge
-    conditionals truncated to [lo, hi]; returns (v1, v2, summed log band mass)."""
-    ell, r = interval
-    total = r - ell
-    mid = total - 2.0 * L
-    mu1 = ((total - L) * x + L * y) / total
-    var1 = L * (total - L) / total
-    v1, lm1 = _truncated_gaussian(mu1, math.sqrt(var1), lo, hi, rng.random(m))
-    mu2 = (L * v1 + mid * y) / (mid + L)
-    var2 = mid * L / (mid + L)
-    v2, lm2 = _truncated_gaussian(mu2, math.sqrt(var2), lo, hi, rng.random(m))
-    return v1, v2, lm1 + lm2
-
-
 def _excursion_anchor_shard(L, M, lam, x, y, interval, m, rng):
     """Anchor-level importance sampling of the excursion event; no paths.
 
     Both anchors are drawn from exact bridge conditionals truncated to the
     full excursion corridor, and every remaining constraint is integrated out
     in closed form (one-sided barrier survivals for the outer segments, the
-    reflection series for the middle corridor). Returns moment accumulators
-    for the excursion probability and the anchor-band probability.
+    reflection series for the middle corridor). Returns per-sample values of
+    the excursion probability and of the anchor-band probability.
     """
     ell, r = interval
     mid = (r - ell) - 2.0 * L
     flo, fhi = lam * M, (lam + 4.0) * M
     b1lo, b1hi = (lam + 1.0) * M, (lam + 3.0) * M
-    v1, v2, log_mass = _excursion_anchors(L, x, y, interval, flo, fhi, m, rng)
+    v1, v2, log_mass = _anchor_pair(x, y, interval, ell + L, r - L, flo, fhi, m, rng)
     mass = np.exp(log_mass)
 
     s_left = -np.expm1(-2.0 * np.clip(fhi - x, 0.0, None) * (fhi - v1) / L)
@@ -1165,7 +1096,7 @@ def _excursion_anchor_shard(L, M, lam, x, y, interval, m, rng):
     s_mid = corridor_survival(v1, v2, flo, fhi, mid)
     vals = mass * s_left * s_mid * s_right
     in_band = (v1 >= b1lo) & (v1 <= b1hi) & (v2 >= b1lo) & (v2 <= b1hi)
-    return _Moments.from_samples(vals), _Moments.from_samples(mass * in_band)
+    return vals, mass * in_band
 
 
 def _excursion_pathwise_shard(L, M, lam, x, y, interval, m, rng):
@@ -1173,7 +1104,7 @@ def _excursion_pathwise_shard(L, M, lam, x, y, interval, m, rng):
     ell, r = interval
     flo, fhi = lam * M, (lam + 4.0) * M
     b1lo, b1hi = (lam + 1.0) * M, (lam + 3.0) * M
-    v1, v2, _ = _excursion_anchors(L, x, y, interval, b1lo, b1hi, m, rng)
+    v1, v2, _ = _anchor_pair(x, y, interval, ell + L, r - L, b1lo, b1hi, m, rng)
 
     def seg(p0, p1, a, b):
         n_pts = int(math.ceil(32.0 * (p1 - p0))) + 1
@@ -1225,13 +1156,13 @@ def estimate_excursion_probability(
     problems = _excursion_geometry_problems(L, M, interval, n_samples)
     if problems:
         raise ValidationError(problems)
-    acc, _ = _run_shards(
+    vals, _ = _run_shards(
         lambda m, rng: _excursion_anchor_shard(L, M, lam, x, y, interval, m, rng),
         n_samples,
         seed,
         threads,
     )
-    return acc.estimate(seed)
+    return McEstimate.from_samples(vals, seed)
 
 
 def run_excursion_experiment(
@@ -1266,14 +1197,14 @@ def run_excursion_experiment(
 
     ell, r = float(interval[0]), float(interval[1])
     mid = (r - ell) - 2.0 * L
-    acc_j, acc_band = _run_shards(
+    vals, band_vals = _run_shards(
         lambda m, rng: _excursion_anchor_shard(L, M, lam, x, y, (ell, r), m, rng),
         n_samples,
         seed,
         threads,
     )
-    est_j = acc_j.estimate(seed)
-    est_band = acc_band.estimate(seed)
+    est_j = McEstimate.from_samples(vals, seed)
+    est_band = McEstimate.from_samples(band_vals, seed)
     if est_j.mean <= 0.0:
         raise ZeroHits(f"no excursion mass at lam={lam:g}, M={M:g} with n={n_samples}")
 

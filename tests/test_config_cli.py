@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import importlib.util
 import json
 import math
@@ -17,7 +18,7 @@ from gibbslines.config import (
     run_experiment,
 )
 from gibbslines.core import McEstimate
-from gibbslines.errors import ParseError, ValidationError
+from gibbslines.errors import MixingDiagnosticFailure, ParseError, ValidationError
 from gibbslines.experiments import ExperimentReport
 
 FAST_SEPARATION = """
@@ -352,12 +353,17 @@ class TestCli:
                 assert float(f"{row['mean']:.17g}") == row["mean"]
 
 
+def _load_script(name):
+    script = Path(__file__).resolve().parents[1] / "scripts" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(name, script)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
 class TestRunAllScript:
     def test_reports_match_cli_run(self, tmp_path):
-        script = Path(__file__).resolve().parents[1] / "scripts" / "run_all_experiments.py"
-        spec = importlib.util.spec_from_file_location("run_all_experiments", script)
-        module = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(module)
+        module = _load_script("run_all_experiments")
         names = ["separation", "excursion"]
         argv = ["--seed", "5", "--output-dir", str(tmp_path / "all")]
         for name in names:
@@ -369,3 +375,62 @@ class TestRunAllScript:
             assert main(["run", cfg, "--seed", "5", "--output", str(out)]) == 0
             scripted = tmp_path / "all" / f"{name}_seed5.jsonl"
             assert scripted.read_bytes() == out.read_bytes()
+
+    def test_raising_run_is_reported_and_the_rest_still_run(self, tmp_path, monkeypatch, capsys):
+        def fail(p, seed, threads):
+            raise MixingDiagnosticFailure("near_touch_prob[t=1]", 0.02, 0.01)
+
+        monkeypatch.setitem(
+            REGISTRY, "ordering", dataclasses.replace(REGISTRY["ordering"], dispatch=fail)
+        )
+        module = _load_script("run_all_experiments")
+        out_dir = tmp_path / "all"
+        argv = ["--seed", "3", "--output-dir", str(out_dir), "--only", "ordering", "--only", "excursion"]
+        assert module.main(argv) == 1
+        printed = capsys.readouterr().out
+        assert "[ERROR] ordering: " in printed
+        assert "[ok] excursion:" in printed
+        assert not (out_dir / "ordering_seed3.jsonl").exists()
+        assert (out_dir / "excursion_seed3.jsonl").exists()
+
+
+class TestCompareReportsScript:
+    @staticmethod
+    def _write_report(path, estimates, checks):
+        lines = ['{"kind": "meta", "label": "experiment", "detail": "demo"}']
+        lines += [
+            f'{{"kind": "estimate", "label": "{label}", "mean": {mean:.17g}, '
+            f'"stderr": {se:.17g}, "n_samples": 100, "seed": 0}}'
+            for label, mean, se in estimates
+        ]
+        lines += [
+            f'{{"kind": "check", "label": "{label}", "passed": {str(ok).lower()}, "detail": ""}}'
+            for label, ok in checks
+        ]
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text("\n".join(lines) + "\n")
+
+    def test_reports_changes_and_passes_without_problems(self, tmp_path, capsys):
+        module = _load_script("compare_reports")
+        self._write_report(tmp_path / "old" / "a.jsonl", [("p", 0.5, 0.01), ("q", 2.0, 0.0)], [("c", True)])
+        self._write_report(tmp_path / "new" / "a.jsonl", [("p", 0.51, 0.02), ("q", 2.0, 0.0)], [("c", True)])
+        assert module.main([str(tmp_path / "old"), str(tmp_path / "new")]) == 0
+        line = capsys.readouterr().out.splitlines()[0]
+        # rel mean 0.01/0.5, rel stderr 0.01/0.01, |z| 0.01/hypot(0.01, 0.02)
+        z = 0.01 / math.hypot(0.01, 0.02)
+        assert line == f"a.jsonl: max rel mean 0.02, max rel stderr 1, max |z| {z:.3g}"
+
+    def test_flags_flips_and_one_sided_rows_and_files(self, tmp_path, capsys):
+        module = _load_script("compare_reports")
+        self._write_report(tmp_path / "old" / "a.jsonl", [("p", 0.5, 0.01), ("gone", 1.0, 0.0)], [("c", True)])
+        self._write_report(tmp_path / "new" / "a.jsonl", [("p", 0.5, 0.01), ("d", math.inf, 0.0)], [("c", False)])
+        self._write_report(tmp_path / "old" / "only_old.jsonl", [], [])
+        self._write_report(tmp_path / "new" / "only_new.jsonl", [], [])
+        assert module.main([str(tmp_path / "old"), str(tmp_path / "new")]) == 1
+        out = capsys.readouterr().out
+        assert "only_old.jsonl: only in OLD" in out
+        assert "only_new.jsonl: only in NEW" in out
+        assert "check 'c' flipped: True -> False" in out
+        assert "row estimate 'gone' only in OLD" in out
+        assert "row estimate 'd' only in NEW" in out
+        assert out.splitlines()[-1].endswith("5 problems")

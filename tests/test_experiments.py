@@ -14,13 +14,13 @@ from gibbslines.experiments import (
     ExperimentReport,
     SeparationConfig,
     _LogMoments,
-    _Moments,
+    _anchor_pair,
+    _band_draw,
     _gamma_tilted_log_pdf,
     _run_shards,
     _shard_counts,
     _sine_tilted_height,
     _sine_tilted_log_pdf,
-    _truncated_gaussian,
     estimate_excursion_probability,
     run_excursion_experiment,
     run_fluctuation_experiment,
@@ -28,6 +28,7 @@ from gibbslines.experiments import (
     run_separation_experiment,
     run_z_lowerbound_experiment,
 )
+from gibbslines.gibbs import _truncated_gaussian
 
 
 @pytest.fixture(scope="module")
@@ -304,7 +305,7 @@ class TestRunShards:
     @staticmethod
     def _toy_shard(m, rng):
         x = rng.standard_normal(m)
-        return x, m, _Moments.from_samples(x), _LogMoments.from_logs(x)
+        return x, m, _LogMoments.from_logs(x)
 
     @pytest.mark.parametrize("threads", [1, 2, 3])
     def test_merge_matches_serial_left_fold(self, threads):
@@ -313,14 +314,13 @@ class TestRunShards:
         rngs = [np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(len(counts))]
         # serial evaluation of the same shard generators; threads > 1 runs the pool
         parts = [self._toy_shard(m, rng) for m, rng in zip(counts, rngs)]
-        x, total, mom, logmom = _run_shards(self._toy_shard, n, seed, threads)
+        x, total, logmom = _run_shards(self._toy_shard, n, seed, threads)
         # arrays in shard order, ints summed, accumulators folded left
         assert np.array_equal(x, np.concatenate([p[0] for p in parts]))
         assert total == n
-        mom_fold, log_fold = parts[0][2], parts[0][3]
+        log_fold = parts[0][2]
         for p in parts[1:]:
-            mom_fold, log_fold = mom_fold.merge(p[2]), log_fold.merge(p[3])
-        assert mom == mom_fold
+            log_fold = log_fold.merge(p[2])
         assert logmom == log_fold
 
 
@@ -335,9 +335,45 @@ class TestProposalHelpers:
     def test_truncated_gaussian_mass_matches_moderate_band(self):
         from scipy.special import ndtr
 
-        v, lm = _truncated_gaussian(np.zeros(4), 1.0, -1.0, 2.0, np.full(4, 0.5))
-        expected = math.log(ndtr(2.0) - ndtr(-1.0))
-        assert np.allclose(lm, expected, rtol=1e-12)
+        rng = np.random.default_rng(1)
+        for mu in (-0.7, 0.0, 0.4, 1.3):
+            v, lm = _truncated_gaussian(np.full(4, mu), 1.0, -1.0, 2.0, rng.random(4))
+            expected = math.log(ndtr(2.0 - mu) - ndtr(-1.0 - mu))
+            assert np.allclose(lm, expected, rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("side", [1.0, -1.0])
+    @pytest.mark.parametrize("hi_offset", [1.5, math.inf])
+    def test_truncated_gaussian_far_tail_band(self, side, hi_offset):
+        # a band 60 sigma out: the draw stays in band and its mass stays finite
+        lo, hi = 60.0, 60.0 + hi_offset
+        if side < 0:
+            lo, hi = -hi, -lo
+        v, lm = _truncated_gaussian(np.zeros(512), 1.0, lo, hi, np.random.default_rng(2).random(512))
+        assert np.all((v >= lo) & (v <= hi))
+        assert np.all(np.isfinite(lm))
+        # Mills ratio: log P(Z > 60) = -1800 - log(60 sqrt(2 pi)) - 1/3600 + O(60^-4)
+        if math.isinf(hi_offset):
+            assert np.allclose(lm, -1800.0 - math.log(60.0 * math.sqrt(2.0 * math.pi)) - 1.0 / 3600.0, rtol=1e-9)
+        # most mass sits within a few 1/60 of the near edge
+        near = lo if side > 0 else hi
+        assert abs(np.median(v) - near) < 0.05
+
+    def test_band_draw_rejects_band_without_mass(self):
+        rng = np.random.default_rng(3)
+        with pytest.raises(EffectiveSampleSizeTooSmall):
+            _band_draw(0.0, 1.0, 2.0, 2.0, rng, 8)  # zero width: log mass -inf
+        with pytest.raises(EffectiveSampleSizeTooSmall), np.errstate(invalid="ignore"):
+            _band_draw(0.0, 1.0, 1e160, math.inf, rng, 8)  # log_ndtr underflows: nan
+
+    def test_anchor_pair_stays_in_band_and_sums_masses(self):
+        lo, hi = 1.0, 2.5
+        rng = np.random.default_rng(4)
+        v1, v2, lm = _anchor_pair(0.0, 0.5, (-2.0, 2.0), -1.0, 1.0, lo, hi, 64, rng)
+        assert np.all((v1 >= lo) & (v1 <= hi) & (v2 >= lo) & (v2 <= hi))
+        # first anchor: bridge mean 0.125, sd sqrt(3/4); second given v1 at -1
+        _, lm1 = _truncated_gaussian(0.125, math.sqrt(0.75), lo, hi, np.zeros(1))
+        _, lm2 = _truncated_gaussian((v1 + 2.0 * 0.5) / 3.0, math.sqrt(2.0 / 3.0), lo, hi, np.zeros(64))
+        assert np.allclose(lm, lm1 + lm2, rtol=1e-12, atol=0.0)
 
     def test_sine_tilted_pdf_normalizes(self):
         for width in (1.0, 3.0):
