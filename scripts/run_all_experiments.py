@@ -8,6 +8,13 @@ experiments still run. Exit status is 0 only if every run finished and every
 check passed.
 
     python3 scripts/run_all_experiments.py --seed 7 --output-dir reports
+
+To check that two source trees write the same report bytes, run
+
+    PYTHONPATH=src python3 scripts/run_all_experiments.py --seed S --threads T \
+        --format F --output-dir DIR
+
+in each tree and compare the two directories with `diff -r`.
 """
 
 import argparse
@@ -26,6 +33,7 @@ from gibbslines.errors import GibbsLinesError
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--seed", type=int, default=None, help="override every config's seed")
+    ap.add_argument("--threads", type=int, default=None, help="override every config's threads")
     ap.add_argument("--output-dir", default="reports", help="where report files go")
     ap.add_argument("--format", choices=OUTPUT_FORMATS, default="json-lines")
     ap.add_argument(
@@ -45,9 +53,13 @@ def main(argv=None) -> int:
     all_ok = True
     for name in names:
         config = parse_config(emit_default_config(name))
-        if args.seed is not None:
-            config = dataclasses.replace(config, seed=args.seed)
-        config = dataclasses.replace(config, output_format=args.format, output_path=None)
+        overrides = {"seed": args.seed, "threads": args.threads}
+        config = dataclasses.replace(
+            config,
+            output_format=args.format,
+            output_path=None,
+            **{key: v for key, v in overrides.items() if v is not None},
+        )
 
         t0 = time.perf_counter()
         try:

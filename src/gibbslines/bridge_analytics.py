@@ -24,7 +24,7 @@ from .errors import InvalidInterval, NonPositiveArgument, ZeroHits
 
 INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 BARRIER_MC_BATCH = 20000  # bridges sampled at once by barrier_tail_mc
-OSCILLATION_BATCH = 5000  # bridges sampled at once by oscillation_tail_estimate
+OSCILLATION_BATCH = 5000  # bridges sampled at once by _sliding_range_sup
 
 
 def _check_interval(a: float, b: float):
@@ -186,6 +186,32 @@ def sample_bridge_minima(
     return seg_min.min(axis=1)
 
 
+def _sliding_range_sup(d, n, seed, grid_n, x, y, interval) -> np.ndarray:
+    """Grid-level sup of |B(u) - B(v)| over |u - v| <= d for each of n bridges
+    drawn with default_rng(seed); shape (n,)."""
+    from scipy.ndimage import maximum_filter1d, minimum_filter1d
+
+    a, b = interval
+    _check_interval(a, b)
+    if not 0 < d <= b - a:
+        raise InvalidInterval(f"window d={d} outside (0, {b - a}]")
+    pts = np.linspace(a, b, grid_n)
+    w = max(1, int(round(d / (pts[1] - pts[0]))))
+    size = w + 1
+    origin = size // 2  # shifts the centered filter window to [j, j + w]
+    rng = np.random.default_rng(seed)
+    stats = []
+    done = 0
+    while done < n:
+        m = min(OSCILLATION_BATCH, n - done)
+        vals = bridge_batch(pts, x, y, rng, m)
+        roll_max = maximum_filter1d(vals, size=size, axis=1, mode="nearest", origin=origin)
+        roll_min = minimum_filter1d(vals, size=size, axis=1, mode="nearest", origin=origin)
+        stats.append((roll_max - roll_min).max(axis=1))
+        done += m
+    return np.concatenate(stats)
+
+
 def oscillation_tail_estimate(
     d: float,
     big_k: float,
@@ -202,29 +228,8 @@ def oscillation_tail_estimate(
     under-count the continuum supremum; callers treat the result as an
     estimate of a quantity that the continuum bound must dominate.
     """
-    from scipy.ndimage import maximum_filter1d, minimum_filter1d
-
-    a, b = interval
-    _check_interval(a, b)
-    if not 0 < d <= b - a:
-        raise InvalidInterval(f"window d={d} outside (0, {b - a}]")
-    pts = np.linspace(a, b, grid_n)
-    w = max(1, int(round(d / (pts[1] - pts[0]))))
-    size = w + 1
-    origin = size // 2  # shifts the centered filter window to [j, j + w]
-    threshold = big_k * math.sqrt(d)
-    rng = np.random.default_rng(seed)
-    hits = []
-    done = 0
-    while done < n:
-        m = min(OSCILLATION_BATCH, n - done)
-        vals = bridge_batch(pts, x, y, rng, m)
-        roll_max = maximum_filter1d(vals, size=size, axis=1, mode="nearest", origin=origin)
-        roll_min = minimum_filter1d(vals, size=size, axis=1, mode="nearest", origin=origin)
-        stat = (roll_max - roll_min).max(axis=1)
-        hits.append((stat >= threshold).astype(np.float64))
-        done += m
-    return McEstimate.from_samples(np.concatenate(hits), seed)
+    sup = _sliding_range_sup(d, n, seed, grid_n, x, y, interval)
+    return McEstimate.from_samples((sup >= big_k * math.sqrt(d)).astype(np.float64), seed)
 
 
 def fit_decay_constant(big_ks, probs) -> float:

@@ -31,17 +31,12 @@ from typing import Sequence
 import numpy as np
 from scipy.special import logsumexp
 
-from .bridge_analytics import (
-    corridor_survival,
-    fit_decay_constant,
-    oscillation_tail_estimate,
-)
+from .bridge_analytics import _sliding_range_sup, corridor_survival, fit_decay_constant
 from .bridge_sampler import bridge_batch
 from .core import (
     BoundaryData,
     Curve,
     Grid,
-    LineEnsemble,
     McEstimate,
     MINUS_INF,
     PLUS_INF,
@@ -59,7 +54,6 @@ from .gibbs import (
     _prepared_slice,
     _truncated_gaussian,
     estimate_Z,
-    log_boltzmann_weight,
     sample_conditional,
     sample_conditional_batch,
 )
@@ -226,6 +220,11 @@ def _check_threads(threads: int):
         raise ValidationError([f"threads must be an integer in [1, 64], got {threads}"])
 
 
+def _seed_problems(seed) -> list[str]:
+    ok = isinstance(seed, (int, np.integer)) and seed >= 0  # as SeedSequence needs
+    return [] if ok else [f"seed must be a nonnegative integer, got {seed}"]
+
+
 # ---------------------------------------------------------------------------
 # truncated Gaussian proposals
 
@@ -291,8 +290,7 @@ class SeparationConfig:
             problems.append(f"M must be >= sqrt(L) = {math.sqrt(self.L):.6g}, got {self.M}")
         if not isinstance(self.n_samples, int) or not 1 <= self.n_samples <= DESK_MAX_SAMPLES:
             problems.append(f"n_samples must be an integer in [1, {DESK_MAX_SAMPLES}], got {self.n_samples}")
-        if not isinstance(self.seed, int) or self.seed < 0:
-            problems.append(f"seed must be a nonnegative integer, got {self.seed}")
+        problems += _seed_problems(self.seed)
         if problems:
             raise ValidationError(problems)
 
@@ -320,7 +318,8 @@ class SeparationConfig:
 
 
 class _SeparationFrame:
-    """Precomputed grid indices, boundary rows, and event levels for one config."""
+    """Precomputed grid indices, boundary rows, event levels and weight slices
+    (off-window and full-window) for one config."""
 
     def __init__(self, cfg: SeparationConfig):
         self.cfg = cfg
@@ -355,15 +354,22 @@ class _SeparationFrame:
             window=(-L, L),
         )
         _, _, _, self._upper, self._lower, self._columns = _prepared_slice(self.spec, self.grid)
-        win_n = self.iwr - self.iwl + 1
-        self.win_grid = Grid(-L, L, win_n)
+        self.win_grid = Grid(-L, L, self.iwr - self.iwl + 1)
         self.win_floor = Curve(self.win_grid, self.floor_vals[self.iwl : self.iwr + 1])
+        # the window weight ignores entrance/exit values: any spec's slice serves
+        win_spec = self.window_spec(self.ext, self.ext)
+        _, _, *self._win_slice = _prepared_slice(win_spec, self.win_grid)
 
     def log_weights(self, batch: np.ndarray) -> np.ndarray:
         """Off-window log Boltzmann weight of each staggered sample."""
         return _log_weight_batch(
             batch, self.pts, self._upper, self._lower, self.h, self._columns, False
         )
+
+    def window_log_weights(self, window: np.ndarray) -> np.ndarray:
+        """Full-window log Boltzmann weight of each (k, window points) sample."""
+        pts, upper, lower, columns = self._win_slice
+        return _log_weight_batch(window, pts, upper, lower, self.h, columns, False)
 
     def base_batch(self, m: int) -> np.ndarray:
         return np.broadcast_to(self.ext[None, :, None], (m, self.cfg.k, self.grid.n)).copy()
@@ -373,12 +379,22 @@ class _SeparationFrame:
         return ConditionalSpec(1, self.cfg.k, (-self.cfg.L, self.cfg.L), bd, self.h)
 
 
+def _fill_bridges(frame: _SeparationFrame, batch: np.ndarray, j: int, anchors: dict, rng, m: int):
+    """Fill curve j of the batch with bridges from its left pin through the
+    anchors ({grid point: values}, in increasing point order) to its right pin."""
+    c = float(frame.ext[j])
+    stops = [(frame.grid.index_of(p), anchors[p]) for p in sorted(anchors)]
+    stops.append((int(frame.ri[j]), c))
+    i0, v0 = int(frame.li[j]), c
+    for i1, v1 in stops:
+        batch[:, j, i0 : i1 + 1] = bridge_batch(frame.pts[i0 : i1 + 1], v0, v1, rng, m)
+        i0, v0 = i1, v1
+
+
 def _staggered_free_batch(frame: _SeparationFrame, m: int, rng) -> np.ndarray:
     batch = frame.base_batch(m)
     for j in range(frame.cfg.k):
-        i0, i1 = int(frame.li[j]), int(frame.ri[j])
-        c = float(frame.ext[j])
-        batch[:, j, i0 : i1 + 1] = bridge_batch(frame.pts[i0 : i1 + 1], c, c, rng, m)
+        _fill_bridges(frame, batch, j, {}, rng, m)
     return batch
 
 
@@ -401,31 +417,25 @@ def _band_proposal_batch(frame: _SeparationFrame, m: int, rng):
         lo, hi = float(frame.band_lo[j]), float(frame.band_hi[j])
         v1, v2, lm = _anchor_pair(c, c, (lj, rj), -L, L, lo, hi, m, rng)
         log_mass += lm
-        anchors[:, j, 0] = v1
-        anchors[:, j, 1] = v2
-        i0, i1 = int(frame.li[j]), int(frame.ri[j])
-        batch[:, j, i0 : frame.iwl + 1] = bridge_batch(frame.pts[i0 : frame.iwl + 1], c, v1, rng, m)
-        batch[:, j, frame.iwl : frame.iwr + 1] = bridge_batch(
-            frame.pts[frame.iwl : frame.iwr + 1], v1, v2, rng, m
-        )
-        batch[:, j, frame.iwr : i1 + 1] = bridge_batch(frame.pts[frame.iwr : i1 + 1], v2, c, rng, m)
+        anchors[:, j, 0], anchors[:, j, 1] = v1, v2
+        _fill_bridges(frame, batch, j, {-L: v1, L: v2}, rng, m)
     return batch, anchors, log_mass
 
 
-def _banded_log_factor(frame: _SeparationFrame, batch: np.ndarray) -> np.ndarray:
-    """Log indicator (0 or -inf) of the band events on the grid skeleton.
+def _channel_log_factor(frame: _SeparationFrame, batch: np.ndarray, lo_vec, hi_vec) -> np.ndarray:
+    """Log indicator (0 or -inf) of the channel events on the grid skeleton.
 
-    Curve j must sit inside its band at every grid point of the next narrower
-    interval and below the band ceiling on the rest of its own interval. The
-    channel proposal pins the inner values into the band by construction, so
-    the ceiling on the free outer segments is what actually gets tested. Band
-    occupation is a skeleton event here, matching how the engine evaluates
-    weights, not a continuum-path statement.
+    Curve j must sit in [lo_vec[j], hi_vec[j]] at every grid point of the next
+    narrower interval and below hi_vec[j] on the rest of its own interval; the
+    raised event is the channel (raise level, +inf). The channel proposal pins
+    the inner values into a band by construction, so the band ceiling on the
+    free outer segments is what actually gets tested. Channel occupation is a
+    skeleton event, matching how the engine evaluates weights.
     """
     m = batch.shape[0]
     out = np.zeros(m)
     for j in range(frame.cfg.k):
-        lo, hi = float(frame.band_lo[j]), float(frame.band_hi[j])
+        lo, hi = float(lo_vec[j]), float(hi_vec[j])
         in0, in1 = int(frame.li[j + 1]), int(frame.ri[j + 1])
         own0, own1 = int(frame.li[j]), int(frame.ri[j])
         inner = batch[:, j, in0 : in1 + 1]
@@ -544,10 +554,7 @@ def _channel_proposal_batch(frame: _SeparationFrame, m: int, rng, lo_vec, hi_vec
         c = float(frame.ext[j])
         lj, rj = float(frame.left[j]), float(frame.right[j])
         lo, hi = float(lo_vec[j]), float(hi_vec[j])
-        anchor_pts = sorted(
-            {float(frame.left[i]) for i in range(j + 1, cfg.k + 1)}
-            | {float(frame.right[i]) for i in range(j + 1, cfg.k + 1)}
-        )
+        anchor_pts = sorted(map(float, np.r_[frame.left[j + 1 :], frame.right[j + 1 :]]))
         p_first, p_last = anchor_pts[0], anchor_pts[-1]
 
         v_first, term = _channel_anchor(*_bridge_point(lj, c, p_first, rj, c), lo, hi, rng, m)
@@ -558,40 +565,12 @@ def _channel_proposal_batch(frame: _SeparationFrame, m: int, rng, lo_vec, hi_vec
         log_ratio += term
 
         values = {p_first: v_first, p_last: v_last}
-        prev_p, prev_v = p_first, v_first
-        for p in anchor_pts[1:-1]:
-            v, lm = _band_draw(*_bridge_point(prev_p, prev_v, p, p_last, v_last), lo, hi, rng, m)
+        for prev, p in zip(anchor_pts, anchor_pts[1:-1]):
+            mu_sd = _bridge_point(prev, values[prev], p, p_last, v_last)
+            values[p], lm = _band_draw(*mu_sd, lo, hi, rng, m)
             log_ratio += lm
-            values[p] = v
-            prev_p, prev_v = p, v
-
-        i_prev = int(frame.li[j])
-        prev_v = np.full(m, c)
-        for p in anchor_pts:
-            i_p = frame.grid.index_of(p)
-            batch[:, j, i_prev : i_p + 1] = bridge_batch(
-                frame.pts[i_prev : i_p + 1], prev_v, values[p], rng, m
-            )
-            i_prev, prev_v = i_p, values[p]
-        i_end = int(frame.ri[j])
-        batch[:, j, i_prev : i_end + 1] = bridge_batch(
-            frame.pts[i_prev : i_end + 1], prev_v, c, rng, m
-        )
+        _fill_bridges(frame, batch, j, values, rng, m)
     return batch, log_ratio
-
-
-def _raised_log_factor(frame: _SeparationFrame, batch: np.ndarray) -> np.ndarray:
-    """Log indicator (0 or -inf) that curve j clears its raise level at every
-    grid point of the next narrower interval."""
-    m = batch.shape[0]
-    out = np.zeros(m)
-    for j in range(frame.cfg.k):
-        level = float(frame.raise_lv[j])
-        i0, i1 = int(frame.li[j + 1]), int(frame.ri[j + 1])
-        vals = batch[:, j, i0 : i1 + 1]
-        ok = np.all(vals >= level, axis=1)
-        out += np.where(ok, 0.0, -np.inf)
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -609,6 +588,7 @@ def run_separation_experiment(cfg: SeparationConfig, threads: int = 1) -> Experi
     """
     _check_threads(threads)
     frame = _SeparationFrame(cfg)
+    no_ceiling = np.full(cfg.k, np.inf)
 
     def shard(m, rng):
         free = _staggered_free_batch(frame, m, rng)
@@ -618,12 +598,11 @@ def run_separation_experiment(cfg: SeparationConfig, threads: int = 1) -> Experi
         sep, _, lmass_e = _band_proposal_batch(frame, m, rng)
         lw_sep = lmass_e + frame.log_weights(sep)
         banded, lmass_f = _channel_proposal_batch(frame, m, rng, frame.band_lo, frame.band_hi)
-        band_factor = _banded_log_factor(frame, banded)
+        band_factor = _channel_log_factor(frame, banded, frame.band_lo, frame.band_hi)
         lw_banded = lmass_f + frame.log_weights(banded) + band_factor
-        raised, lmass_a = _channel_proposal_batch(
-            frame, m, rng, frame.raise_lv, np.full(cfg.k, np.inf)
-        )
-        lw_raised = lmass_a + frame.log_weights(raised) + _raised_log_factor(frame, raised)
+        raised, lmass_a = _channel_proposal_batch(frame, m, rng, frame.raise_lv, no_ceiling)
+        raise_factor = _channel_log_factor(frame, raised, frame.raise_lv, no_ceiling)
+        lw_raised = lmass_a + frame.log_weights(raised) + raise_factor
         # log factors never exceed 0 and every banded-proposal sample has its
         # window-edge anchors in band, hence realizes the endpoint event
         violations = int(np.sum(band_factor > 1e-12))
@@ -719,27 +698,21 @@ def run_z_lowerbound_experiment(cfg: SeparationConfig, threads: int = 1) -> Expe
     n_keep = min(cfg.n_samples, 384)
     n_inner = 256
     k, L, M = cfg.k, cfg.L, cfg.M
-    iwl, iwr = frame.iwl, frame.iwr
-    win_n = iwr - iwl + 1
-    frac = np.linspace(0.0, 1.0, win_n)
+    frac = np.linspace(0.0, 1.0, frame.win_grid.n)
 
     def shard(m, rng):
         batch, anchors, lmass = _band_proposal_batch(frame, m, rng)
         lw = lmass + frame.log_weights(batch)
         zmean = np.empty(m)
         zse = np.empty(m)
-        osc = np.empty(m, dtype=bool)
-        logw_win = np.full(m, np.nan)
         for i in range(m):
             spec_i = frame.window_spec(anchors[i, :, 0], anchors[i, :, 1])
             est = estimate_Z(spec_i, frame.win_grid, n=n_inner, seed=int(rng.integers(2**62)))
             zmean[i], zse[i] = est.mean, est.stderr
-            window = batch[i, :, iwl : iwr + 1]
-            chords = anchors[i, :, 0, None] + (anchors[i, :, 1] - anchors[i, :, 0])[:, None] * frac
-            osc[i] = bool(np.all(np.abs(window - chords) <= M))
-            if osc[i]:
-                ens = LineEnsemble(frame.win_grid, window.copy())
-                logw_win[i] = log_boltzmann_weight(ens, spec_i)
+        window = batch[:, :, frame.iwl : frame.iwr + 1]
+        chords = anchors[:, :, 0, None] + (anchors[:, :, 1] - anchors[:, :, 0])[:, :, None] * frac
+        osc = np.all(np.abs(window - chords) <= M, axis=(1, 2))
+        logw_win = frame.window_log_weights(window)
         return lw, zmean, zse, osc, logw_win
 
     lw, zmean, zse, osc, logw_win = _run_shards(shard, n_keep, cfg.seed, threads)
@@ -763,7 +736,7 @@ def run_z_lowerbound_experiment(cfg: SeparationConfig, threads: int = 1) -> Expe
     unit_ok = bool(np.all((zmean > 0.0) & (zmean <= 1.0 + 1e-12)))
     mean_ok = z_min > 0 and cond_mean >= bound / d4 * (1.0 - 1e-9)
     if n_osc > 0:
-        w_min = float(np.nanmin(logw_win[osc]))
+        w_min = float(logw_win[osc].min())
         osc_ok = bool(w_min >= -2.0 * k * L - 1e-9)
         osc_detail = (
             f"{n_osc} of {len(osc)} kept samples stayed within M of their window chords; "
@@ -819,7 +792,7 @@ def run_ordering_experiment(
     DRAW_CHUNK draws, which bounds memory). The near-touch event is
     {min over [-1, 1] of (curve k - curve k+1) < rho}. A split-chain
     diagnostic raises when the two halves of any run disagree by more than
-    three combined standard errors. Expects t_list in increasing order.
+    three combined standard errors. t_list must be strictly increasing.
     """
     _check_threads(threads)
     problems = []
@@ -827,12 +800,15 @@ def run_ordering_experiment(
         problems.append(f"k must be an integer in [1, {DESK_MAX_CURVES - 1}], got {k}")
     if not t_list or not all(0.0 < t <= DESK_MAX_T for t in t_list):
         problems.append(f"t_list entries must lie in (0, {DESK_MAX_T:g}], got {list(t_list)}")
+    elif any(b <= a for a, b in zip(t_list, t_list[1:])):
+        problems.append(f"t_list must be strictly increasing, got {list(t_list)}")
     if not gap > 0:
         problems.append(f"gap must be positive, got {gap}")
     if not math.isfinite(rho):
         problems.append(f"rho must be finite, got {rho}")
     if not isinstance(n_samples, int) or not 2 <= n_samples <= DESK_MAX_SAMPLES:
         problems.append(f"n_samples must be an integer in [2, {DESK_MAX_SAMPLES}], got {n_samples}")
+    problems += _seed_problems(seed)
     if problems:
         raise ValidationError(problems)
 
@@ -924,10 +900,10 @@ def run_fluctuation_experiment(
     P(bad boundary) + exp(-K^2 / (2C)), where the good-boundary set demands
     bounded endpoint values and a normalizer at least exp(-K^2 / (2C)).
 
-    C is fitted from the free bridge law: sliding-window range tails at
-    thresholds deflated by (1 - sqrt(d)) absorb the worst boundary slope in
-    the box |x|, |y| <= K, and the fitted constant is inflated back by
-    (1 - sqrt(d))^{-2}. Both adjustments push C upward, so the reported
+    C is fitted from the sliding-window range sups of one pass of free bridges
+    (_sliding_range_sup): tails at thresholds deflated by (1 - sqrt(d)) absorb
+    the worst boundary slope in the box |x|, |y| <= K, and the fitted
+    constant is inflated back by (1 - sqrt(d))^{-2}. Both adjustments push C upward, so the reported
     decay term is conservative. The drift allowance degenerates as d -> 1;
     the factor is floored at 0.05 and the detail string records it.
     """
@@ -941,6 +917,7 @@ def run_fluctuation_experiment(
         problems.append(f"boundary_box must be positive, got {boundary_box}")
     if not isinstance(n_samples, int) or not 2 <= n_samples <= DESK_MAX_SAMPLES:
         problems.append(f"n_samples must be an integer in [2, {DESK_MAX_SAMPLES}], got {n_samples}")
+    problems += _seed_problems(seed)
     if problems:
         raise ValidationError(problems)
 
@@ -953,11 +930,13 @@ def run_fluctuation_experiment(
 
     factor = max(1.0 - rt_d, 0.05)
     k_pos = sorted({float(K) for K in K_list if K > 0})
-    p_eff = {}
-    p_full = {}
-    for K in k_pos:
-        p_eff[K] = oscillation_tail_estimate(d, K * factor, n=20000, seed=seed_fit, interval=(-1.0, 1.0))
-        p_full[K] = oscillation_tail_estimate(d, K, n=20000, seed=seed_fit, interval=(-1.0, 1.0))
+    sup = _sliding_range_sup(d, 20000, seed_fit, 513, 0.0, 0.0, (-1.0, 1.0))
+
+    def free_tail(big_k):
+        return McEstimate.from_samples((sup >= big_k * rt_d).astype(np.float64), seed_fit)
+
+    p_eff = {K: free_tail(K * factor) for K in k_pos}
+    p_full = {K: free_tail(K) for K in k_pos}
     usable = [(K, p_eff[K].mean) for K in k_pos if 0.0 < p_eff[K].mean < 1.0]
     if not usable:
         raise ZeroHits("free-law range tails are all degenerate; no decay constant to fit")
@@ -1053,7 +1032,7 @@ def run_fluctuation_experiment(
 # high-excursion construction
 
 
-def _excursion_geometry_problems(L, M, interval, n_samples) -> list[str]:
+def _excursion_problems(L, M, interval, n_samples, seed) -> list[str]:
     problems = []
     if not L > 0:
         problems.append(f"L must be positive, got {L}")
@@ -1072,7 +1051,7 @@ def _excursion_geometry_problems(L, M, interval, n_samples) -> list[str]:
             )
     if not isinstance(n_samples, int) or not 2 <= n_samples <= DESK_MAX_SAMPLES:
         problems.append(f"n_samples must be an integer in [2, {DESK_MAX_SAMPLES}], got {n_samples}")
-    return problems
+    return problems + _seed_problems(seed)
 
 
 def _excursion_anchor_shard(L, M, lam, x, y, interval, m, rng):
@@ -1153,7 +1132,7 @@ def estimate_excursion_probability(
     sanity checks; the experiment runner enforces the full preconditions.
     """
     _check_threads(threads)
-    problems = _excursion_geometry_problems(L, M, interval, n_samples)
+    problems = _excursion_problems(L, M, interval, n_samples, seed)
     if problems:
         raise ValidationError(problems)
     vals, _ = _run_shards(
@@ -1185,7 +1164,7 @@ def run_excursion_experiment(
     decay rate D in log P >= -D M^2 / L.
     """
     _check_threads(threads)
-    problems = _excursion_geometry_problems(L, M, interval, n_samples)
+    problems = _excursion_problems(L, M, interval, n_samples, seed)
     if not lam >= 4.0:
         problems.append(f"lam must be at least 4, got {lam}")
     if M > 0 and not (abs(x) <= M and abs(y) <= M):

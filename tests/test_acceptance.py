@@ -8,7 +8,6 @@ combined standard errors of the quantities being compared.
 
 import math
 import time
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -22,12 +21,10 @@ from gibbslines.bridge_analytics import (
     sample_bridge_minima,
 )
 from gibbslines.core import (
-    EXP_SATURATION,
     MINUS_INF,
     PLUS_INF,
     BoundaryData,
     Grid,
-    Hamiltonian,
     OrderedHamiltonian,
     ScaledExpHamiltonian,
     constant_curve,
@@ -349,23 +346,6 @@ def test_criterion_05_heat_bath_preserves_conditional_law():
 # criterion 6: resample-then-scale equals scale-then-resample
 
 
-@dataclass(frozen=True)
-class AmplifiedExpHamiltonian(Hamiltonian):
-    """Penalty amplitude * exp(rate * x); the pushforward of the unscaled
-    soft penalty through the spatial/height change of variables."""
-
-    rate: float
-    amplitude: float
-    cap: float = EXP_SATURATION
-
-    def integrand(self, gaps):
-        gaps = np.asarray(gaps, dtype=np.float64)
-        arg = self.rate * gaps
-        return np.where(
-            arg > self.cap, np.inf, self.amplitude * np.exp(np.minimum(arg, self.cap))
-        )
-
-
 def test_criterion_06_resample_and_scale_commute():
     t0 = time.perf_counter()
     t = 8.0
@@ -386,16 +366,19 @@ def test_criterion_06_resample_and_scale_commute():
     # Scaled frame: the same block after the change of variables. Heights
     # divide by t^(1/3) (plus the parabolic offset and per-curve shift), space
     # divides by t^(2/3), and the pushforward penalty picks up rate t^(2/3)
-    # and amplitude spatial^(1 - t^(1/3)) from du = spatial dv.
+    # and amplitude spatial^(1 - t^(1/3)) from du = spatial dv. Since
+    # amplitude * exp(rate * gap) = exp(rate * (gap + ln(amplitude) / rate)),
+    # that penalty is ScaledExpHamiltonian(t^2) with the lower curve's pins
+    # shifted by ln(amplitude) / rate; the top curve's law is unchanged.
     shifts = np.array([ScalingParams(t, 1).index_shift, ScalingParams(t, 2).index_shift])
     x_g = (x_f + t / 24.0) / height + shifts
     grid_s = Grid(-1.0 / spatial, 1.0 / spatial, n)
+    h_s = ScaledExpHamiltonian(t * t)
+    x_p = x_g + np.array([0.0, math.log(spatial ** (1.0 - height)) / h_s.rate])
     spec_s = ConditionalSpec(
         k1=1, k2=2, interval=(grid_s.a, grid_s.b),
-        boundary=BoundaryData(x_g, x_g, PLUS_INF, MINUS_INF),
-        hamiltonian=AmplifiedExpHamiltonian(
-            rate=height * height, amplitude=spatial ** (1.0 - height)
-        ),
+        boundary=BoundaryData(x_p, x_p, PLUS_INF, MINUS_INF),
+        hamiltonian=h_s,
     )
 
     def midpoints(spec, grid, seed):

@@ -7,6 +7,7 @@ from scipy import stats
 from scipy.special import ndtr
 
 from gibbslines.bridge_analytics import (
+    _sliding_range_sup,
     barrier_tail_mc,
     bridge_max_tail,
     bridge_min_tail,
@@ -18,6 +19,7 @@ from gibbslines.bridge_analytics import (
     segment_log_survival,
 )
 from gibbslines.bridge_sampler import bridge_batch
+from gibbslines.core import McEstimate
 from gibbslines.errors import InvalidInterval, NonPositiveArgument, ZeroHits
 
 
@@ -175,6 +177,19 @@ class TestOscillation:
     def test_rejects_bad_window(self):
         with pytest.raises(InvalidInterval):
             oscillation_tail_estimate(d=2.0, big_k=1.0, n=10, seed=0)
+
+    def test_estimate_thresholds_one_sliding_range_pass(self):
+        # n spans two bridge batches; one pass of sups serves every threshold
+        d, n, seed = 0.25, 6000, 12
+        sup = _sliding_range_sup(d, n, seed, 65, 0.3, -0.2, (-1.0, 1.0))
+        assert sup.shape == (n,)
+        for big_k in (2.0, 3.0):
+            est = oscillation_tail_estimate(
+                d, big_k, n=n, seed=seed, grid_n=65, x=0.3, y=-0.2, interval=(-1.0, 1.0)
+            )
+            hits = (sup >= big_k * math.sqrt(d)).astype(np.float64)
+            assert 0.0 < est.mean < 1.0
+            assert est == McEstimate.from_samples(hits, seed)
 
 
 class TestDecayFit:

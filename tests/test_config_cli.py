@@ -309,6 +309,18 @@ class TestCli:
         cfg = _write(tmp_path, "experiment = quantum\nseed = 1\n")
         assert main(["run", cfg]) == 2
 
+    @pytest.mark.parametrize("name", sorted(REGISTRY))
+    def test_negative_seed_is_exit_2(self, tmp_path, capsys, name):
+        # SeedSequence refuses negative seeds: a problem line, not a traceback
+        out = tmp_path / "never.jsonl"
+        text = emit_default_config(name).replace("seed = 0", "seed = -1")
+        assert main(["run", _write(tmp_path, text, "neg.cfg"), "--output", str(out)]) == 2
+        assert "seed must be a nonnegative integer, got -1" in capsys.readouterr().err
+        cfg = _write(tmp_path, emit_default_config(name))
+        assert main(["run", cfg, "--seed", "-1", "--output", str(out)]) == 2
+        assert "seed must be a nonnegative integer, got -1" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_execution_error_is_exit_2(self, tmp_path, capsys):
         # a two-curve budget this small degenerates the importance weights
         text = (
@@ -365,16 +377,19 @@ class TestRunAllScript:
     def test_reports_match_cli_run(self, tmp_path):
         module = _load_script("run_all_experiments")
         names = ["separation", "excursion"]
-        argv = ["--seed", "5", "--output-dir", str(tmp_path / "all")]
-        for name in names:
-            argv += ["--only", name]
-        assert module.main(argv) == 0
-        for name in names:
-            cfg = _write(tmp_path, emit_default_config(name), f"{name}.cfg")
-            out = tmp_path / f"{name}.jsonl"
-            assert main(["run", cfg, "--seed", "5", "--output", str(out)]) == 0
-            scripted = tmp_path / "all" / f"{name}_seed5.jsonl"
-            assert scripted.read_bytes() == out.read_bytes()
+        for threads in ("1", "2"):
+            out_dir = tmp_path / f"all{threads}"
+            argv = ["--seed", "5", "--threads", threads, "--output-dir", str(out_dir)]
+            for name in names:
+                argv += ["--only", name]
+            assert module.main(argv) == 0
+            for name in names:
+                cfg = _write(tmp_path, emit_default_config(name), f"{name}.cfg")
+                out = tmp_path / f"{name}_t{threads}.jsonl"
+                assert main(["run", cfg, "--seed", "5", "--threads", threads, "--output", str(out)]) == 0
+                scripted = out_dir / f"{name}_seed5.jsonl"
+                assert scripted.read_bytes() == out.read_bytes()
+                assert f'"label": "threads", "detail": "{threads}"' in out.read_text()
 
     def test_raising_run_is_reported_and_the_rest_still_run(self, tmp_path, monkeypatch, capsys):
         def fail(p, seed, threads):

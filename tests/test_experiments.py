@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gibbslines.core import McEstimate
+from gibbslines.core import LineEnsemble, McEstimate
 from gibbslines.errors import (
     EffectiveSampleSizeTooSmall,
     ValidationError,
@@ -14,8 +14,11 @@ from gibbslines.experiments import (
     ExperimentReport,
     SeparationConfig,
     _LogMoments,
+    _SeparationFrame,
     _anchor_pair,
     _band_draw,
+    _band_proposal_batch,
+    _channel_log_factor,
     _gamma_tilted_log_pdf,
     _run_shards,
     _shard_counts,
@@ -28,7 +31,7 @@ from gibbslines.experiments import (
     run_separation_experiment,
     run_z_lowerbound_experiment,
 )
-from gibbslines.gibbs import _truncated_gaussian
+from gibbslines.gibbs import _truncated_gaussian, log_boltzmann_weight
 
 
 @pytest.fixture(scope="module")
@@ -156,6 +159,44 @@ class TestSeparationExperiment:
             run_separation_experiment(cfg, threads=0)
 
 
+class TestSeparationFrame:
+    def test_raised_factor_is_a_floor_on_the_inner_interval(self):
+        cfg = SeparationConfig(k=3, L=1.0, t=100.0, M=1.0, n_samples=10, seed=0)
+        frame = _SeparationFrame(cfg)
+        rng = np.random.default_rng(21)
+        m, n = 400, frame.grid.n
+        # steps of 0.5 around each level, so many values sit exactly on it
+        steps = rng.choice([-1.0, 0.0, 1.0, 2.0], p=[0.002, 0.3, 0.3, 0.398], size=(m, cfg.k, n))
+        batch = frame.raise_lv[None, :, None] + 0.5 * steps
+        left, right = cfg.left_ends(), cfg.right_ends()
+        expected = np.zeros(m)
+        for j in range(cfg.k):
+            i0, i1 = frame.grid.index_of(left[j + 1]), frame.grid.index_of(right[j + 1])
+            batch[:, j, :i0] -= 50.0  # outside the inner interval nothing is tested
+            batch[:, j, i1 + 1 :] -= 50.0
+            ok = np.all(batch[:, j, i0 : i1 + 1] >= frame.raise_lv[j], axis=1)
+            expected += np.where(ok, 0.0, -np.inf)
+        got = _channel_log_factor(frame, batch, frame.raise_lv, np.full(cfg.k, np.inf))
+        assert np.array_equal(got, expected)
+        assert 0 < np.sum(got == 0.0) < m
+
+    @pytest.mark.parametrize("k, t", [(1, 1000.0), (2, 100.0), (3, 8.0)])
+    def test_window_weights_match_per_sample_weights(self, k, t):
+        frame = _SeparationFrame(SeparationConfig(k=k, L=1.0, t=t, M=1.0, n_samples=10, seed=0))
+        batch, anchors, _ = _band_proposal_batch(frame, 40, np.random.default_rng(k))
+        window = batch[:, :, frame.iwl : frame.iwr + 1]
+        expected = [
+            log_boltzmann_weight(
+                LineEnsemble(frame.win_grid, window[i]),
+                frame.window_spec(anchors[i, :, 0], anchors[i, :, 1]),
+            )
+            for i in range(len(window))
+        ]
+        got = frame.window_log_weights(window)
+        assert np.array_equal(got, expected)
+        assert np.unique(got).size > 1
+
+
 class TestZLowerBound:
     def test_report_passes(self, zlb_k2):
         assert zlb_k2.passed
@@ -202,6 +243,12 @@ class TestOrdering:
             run_ordering_experiment(k=1, t_list=[0.0], gap=1.0, rho=0.1, n_samples=10, seed=0)
         with pytest.raises(ValidationError):
             run_ordering_experiment(k=1, t_list=[1.0], gap=-2.0, rho=0.1, n_samples=10, seed=0)
+
+    @pytest.mark.parametrize("t_list", [[64.0, 8.0, 1.0], [1.0, 8.0, 8.0], [8.0, 1.0, 64.0]])
+    def test_t_list_must_increase(self, t_list):
+        # the monotonicity check compares neighbours in t_list order
+        with pytest.raises(ValidationError, match="strictly increasing"):
+            run_ordering_experiment(k=2, t_list=t_list, gap=1.0, rho=0.25, n_samples=10, seed=0)
 
 
 class TestFluctuation:
@@ -276,6 +323,30 @@ class TestExcursion:
             run_excursion_experiment(
                 L=4.0, M=1.0, lam=4.0, x=0.0, y=0.0, interval=(0.0, 17.0), n_samples=10, seed=0
             )
+
+
+@pytest.mark.parametrize(
+    "run",
+    [
+        lambda seed: SeparationConfig(k=1, L=1.0, t=100.0, M=1.0, n_samples=10, seed=seed),
+        lambda seed: run_ordering_experiment(
+            k=1, t_list=[1.0], gap=1.0, rho=0.1, n_samples=10, seed=seed
+        ),
+        lambda seed: run_fluctuation_experiment(
+            d=0.25, K_list=[1.0], boundary_box=1.0, n_samples=10, seed=seed
+        ),
+        lambda seed: run_excursion_experiment(
+            L=1.0, M=1.0, lam=4.0, x=0.0, y=0.0, interval=(0.0, 4.0), n_samples=10, seed=seed
+        ),
+        lambda seed: estimate_excursion_probability(
+            L=1.0, M=1.0, lam=4.0, x=0.0, y=0.0, interval=(0.0, 4.0), n_samples=10, seed=seed
+        ),
+    ],
+    ids=["separation", "ordering", "fluctuation", "excursion", "excursion_probability"],
+)
+def test_negative_seed_is_a_validation_error(run):
+    with pytest.raises(ValidationError, match="seed must be a nonnegative integer, got -1"):
+        run(-1)
 
 
 class TestReportAccessors:
