@@ -49,11 +49,15 @@ class RejectionBudgetExhausted(GibbsLinesError):
 class EffectiveSampleSizeTooSmall(GibbsLinesError):
     """Importance weights degenerated below the usable threshold."""
 
-    def __init__(self, ess: float, threshold: float = 100.0, label: str = ""):
+    def __init__(self, ess: float, threshold: float = 100.0, label: str = "", all_ess=None):
         self.ess = ess
         self.threshold = threshold
+        self.all_ess = dict(all_ess or {})  # label -> ESS of every estimator of the run
         where = f" for {label}" if label else ""
-        super().__init__(f"effective sample size {ess:.2f}{where} is below {threshold:g}")
+        msg = f"effective sample size {ess:.2f}{where} is below {threshold:g}"
+        if len(self.all_ess) > 1:
+            msg += " (" + ", ".join(f"{lab}: {v:.2f}" for lab, v in self.all_ess.items()) + ")"
+        super().__init__(msg)
 
 
 class MixingDiagnosticFailure(GibbsLinesError):

@@ -171,9 +171,13 @@ def _ratio_estimate(num: _LogMoments, den: _LogMoments, seed: int) -> McEstimate
     return McEstimate(mean=p, stderr=p * rel, n_samples=num.n, seed=seed)
 
 
-def _require_ess(lm: _LogMoments, label: str):
-    if lm.ess() < ESS_THRESHOLD:
-        raise EffectiveSampleSizeTooSmall(lm.ess(), ESS_THRESHOLD, label)
+def _require_ess(moments: dict):
+    """Raise for the first label whose ESS is below ESS_THRESHOLD; the error
+    carries every label's ESS, computed before any raises."""
+    all_ess = {label: lm.ess() for label, lm in moments.items()}
+    for label, ess in all_ess.items():
+        if ess < ESS_THRESHOLD:
+            raise EffectiveSampleSizeTooSmall(ess, ESS_THRESHOLD, label, all_ess)
 
 
 # ---------------------------------------------------------------------------
@@ -590,19 +594,22 @@ def run_separation_experiment(cfg: SeparationConfig, threads: int = 1) -> Experi
     frame = _SeparationFrame(cfg)
     no_ceiling = np.full(cfg.k, np.inf)
 
+    def channel_log_weights(m, rng, lo_vec, hi_vec):
+        batch, lmass = _channel_proposal_batch(frame, m, rng, lo_vec, hi_vec)
+        factor = _channel_log_factor(frame, batch, lo_vec, hi_vec)
+        return lmass + frame.log_weights(batch) + factor, factor
+
+    # each (m, k, n) proposal batch dies once its log weight is taken, so at
+    # most one is alive at a time; the draw order is free, sep, banded, raised
     def shard(m, rng):
-        free = _staggered_free_batch(frame, m, rng)
-        lw_free = frame.log_weights(free)
+        lw_free = frame.log_weights(_staggered_free_batch(frame, m, rng))
         # endpoint event: window-edge anchors in band, nothing else conditioned,
         # so the proposal support is exactly the event and no indicator appears
         sep, _, lmass_e = _band_proposal_batch(frame, m, rng)
         lw_sep = lmass_e + frame.log_weights(sep)
-        banded, lmass_f = _channel_proposal_batch(frame, m, rng, frame.band_lo, frame.band_hi)
-        band_factor = _channel_log_factor(frame, banded, frame.band_lo, frame.band_hi)
-        lw_banded = lmass_f + frame.log_weights(banded) + band_factor
-        raised, lmass_a = _channel_proposal_batch(frame, m, rng, frame.raise_lv, no_ceiling)
-        raise_factor = _channel_log_factor(frame, raised, frame.raise_lv, no_ceiling)
-        lw_raised = lmass_a + frame.log_weights(raised) + raise_factor
+        del sep
+        lw_banded, band_factor = channel_log_weights(m, rng, frame.band_lo, frame.band_hi)
+        lw_raised, _ = channel_log_weights(m, rng, frame.raise_lv, no_ceiling)
         # log factors never exceed 0 and every banded-proposal sample has its
         # window-edge anchors in band, hence realizes the endpoint event
         violations = int(np.sum(band_factor > 1e-12))
@@ -619,13 +626,12 @@ def run_separation_experiment(cfg: SeparationConfig, threads: int = 1) -> Experi
         shard, cfg.n_samples, cfg.seed, threads
     )
 
-    for lm, label in (
-        (free_lm, "free reference weights"),
-        (sep_lm, "separated-endpoint weights"),
-        (banded_lm, "banded-curve weights"),
-        (raised_lm, "raised-curve weights"),
-    ):
-        _require_ess(lm, label)
+    _require_ess({
+        "free reference weights": free_lm,
+        "separated-endpoint weights": sep_lm,
+        "banded-curve weights": banded_lm,
+        "raised-curve weights": raised_lm,
+    })
 
     seed = cfg.seed
     p_sep = _ratio_estimate(sep_lm, free_lm, seed)
@@ -718,7 +724,7 @@ def run_z_lowerbound_experiment(cfg: SeparationConfig, threads: int = 1) -> Expe
     lw, zmean, zse, osc, logw_win = _run_shards(shard, n_keep, cfg.seed, threads)
 
     weights_lm = _LogMoments.from_logs(lw)
-    _require_ess(weights_lm, "separated-endpoint weights")
+    _require_ess({"separated-endpoint weights": weights_lm})
 
     w = np.exp(lw - lw.max())
     w /= w.sum()

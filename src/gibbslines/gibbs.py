@@ -13,6 +13,10 @@ W lies in (0, 1] and Z = E_free[W] normalizes the conditional law.
 The off-window variant integrates only over [a, a'] union [b', b]; it is used
 by estimators that leave the middle window unweighted.
 
+H is evaluated only on the pairs and columns that carry weight: a sentinel
+pair (its gap is -inf, and H(-inf) = 0) is never formed, and the unweighted
+window columns of an off-window weight are never evaluated.
+
 For the hard ordering Hamiltonian, estimators can replace the grid-level
 ordering indicator with the exact per-segment non-crossing probability of the
 (gap) bridge between grid points, which removes the O(sqrt(spacing)) grid
@@ -121,6 +125,23 @@ def _stack_with_boundaries(
     return stacked
 
 
+def _weighted_pairs(batch: np.ndarray, upper_vals: np.ndarray, lower_vals: np.ndarray) -> list:
+    """The (above, below, sigma2) row pairs that carry weight, top to bottom.
+
+    Block rows have shape (size, m), boundary rows (m,). A sentinel boundary
+    (+inf above, -inf below) drops its pair: its gap is -inf and H(-inf) = 0.
+    sigma2 is the diffusion parameter of the pair's gap process: 2 for two
+    random curves, 1 for a curve against a deterministic boundary curve.
+    """
+    k = batch.shape[1]
+    pairs = [(batch[:, i - 1, :], batch[:, i, :], 2.0) for i in range(1, k)]
+    if not np.isposinf(upper_vals).all():
+        pairs.insert(0, (upper_vals, batch[:, 0, :], 1.0))
+    if not np.isneginf(lower_vals).all():
+        pairs.append((batch[:, k - 1, :], lower_vals, 1.0))
+    return pairs
+
+
 def _log_weight_batch(
     batch: np.ndarray,
     pts: np.ndarray,
@@ -130,48 +151,42 @@ def _log_weight_batch(
     columns,
     crossing_correction: bool,
 ) -> np.ndarray:
-    """Log Boltzmann weight of each ensemble in the batch, shape (size,)."""
-    stacked = _stack_with_boundaries(batch, upper_vals, lower_vals)
+    """Log Boltzmann weight of each ensemble in the batch, shape (size,).
+
+    H is evaluated only on the weighted pairs and on the columns that carry
+    weight; the pair rows are summed in order and each column range gets its
+    own trapezoid, so the result is bitwise that of the full-stack formula.
+    """
+    size = batch.shape[0]
+    pairs = _weighted_pairs(batch, upper_vals, lower_vals)
     if isinstance(h, OrderedHamiltonian) and crossing_correction:
-        return _log_ordered_survival_batch(stacked, pts, upper_vals, lower_vals, columns)
+        return _log_ordered_survival_batch(pairs, pts, columns, size)
+    total = np.zeros(size)
+    if not pairs:
+        return -total
+    # column range r sits at [starts[r], starts[r + 1]) of the packed arrays
+    starts = np.cumsum([0] + [j1 + 1 - j0 for j0, j1 in columns])
+    spans = list(zip(columns, starts, starts[1:]))
     # gap convention: lower row minus upper row; ordered configurations are negative
-    gaps = stacked[:, 1:, :] - stacked[:, :-1, :]
+    gaps = np.empty((size, len(pairs), starts[-1]))
+    for p, (above, below, _) in enumerate(pairs):
+        for (j0, j1), s0, s1 in spans:
+            np.subtract(below[..., j0 : j1 + 1], above[..., j0 : j1 + 1], out=gaps[:, p, s0:s1])
     integrand = h.integrand(gaps).sum(axis=1)
-    total = np.zeros(batch.shape[0])
-    for j0, j1 in columns:
-        total += np.trapezoid(integrand[:, j0 : j1 + 1], x=pts[j0 : j1 + 1], axis=1)
+    for (j0, j1), s0, s1 in spans:
+        total += np.trapezoid(integrand[:, s0:s1], x=pts[j0 : j1 + 1], axis=1)
     return -total
 
 
-def _log_ordered_survival_batch(stacked, pts, upper_vals, lower_vals, columns):
-    """Sum of exact per-segment non-crossing log probabilities for every pair.
-
-    Adjacent random curves have a gap process with diffusion parameter 2; a
-    curve against a deterministic boundary curve has parameter 1. Sentinel
-    boundaries contribute nothing.
-    """
-    size, rows, _ = stacked.shape
-    k = rows - 2
+def _log_ordered_survival_batch(pairs, pts, columns, size: int) -> np.ndarray:
+    """Sum of exact per-segment non-crossing log probabilities for every
+    weighted pair (see _weighted_pairs for their diffusion parameters)."""
     dt = np.diff(pts)
     out = np.zeros(size)
-    for i in range(k + 1):
-        hi = stacked[:, i, :]
-        lo = stacked[:, i + 1, :]
-        if i == 0:
-            if not np.isfinite(upper_vals).any():
-                continue
-            sigma2 = 1.0
-        elif i == k:
-            if not np.isfinite(lower_vals).any():
-                continue
-            sigma2 = 1.0
-        else:
-            sigma2 = 2.0
-        d = hi - lo  # positive where ordered
+    for above, below, sigma2 in pairs:
         for j0, j1 in columns:
-            seg = segment_log_survival(
-                d[:, j0:j1], d[:, j0 + 1 : j1 + 1], 1.0, sigma2 * dt[j0:j1]
-            )
+            d = above[..., j0 : j1 + 1] - below[..., j0 : j1 + 1]  # positive where ordered
+            seg = segment_log_survival(d[:, :-1], d[:, 1:], 1.0, sigma2 * dt[j0:j1])
             out += seg.sum(axis=1)
     return out
 
@@ -398,7 +413,11 @@ def first_hitting_domain(
 # tests/test_gibbs.py::TestLogWeight::test_trapezoid_grid_error_of_soft_weights:
 # one curve on [0, 1] over a floor at -0.3, spacing 1/32 against 1/64, moves
 # the normalizer by at most 1 % at t = 1000 and 0.2 % at t = 100 (measured
-# 0.5 % and 0.08 %).
+# 0.5 % and 0.08 %). The separation runner's free reference weight in its
+# default geometry (one curve pinned at 1 on [-2, 2] over clip(-u^2/2, -1, 1),
+# off the window (-1, 1)), same spacings, moves by at most 0.1 % at t = 100
+# and at t = 1000 (measured -0.005 % and -0.001 %, SE 0.005 % and 0.013 %),
+# bound in ...::test_trapezoid_grid_error_of_separation_free_weights.
 LATTICE_POINTS = 320
 COARSE_POINTS = 64
 KEEP_DENSITY = math.exp(-36.0)  # ~2e-16 of the peak: lower nodes carry no mass

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -148,10 +149,38 @@ class TestSeparationExperiment:
         assert rep.estimate("ess_raised_curves").mean >= 100.0
 
     def test_starved_budget_fails_loudly(self):
-        with pytest.raises(EffectiveSampleSizeTooSmall):
+        with pytest.raises(EffectiveSampleSizeTooSmall) as err:
             run_separation_experiment(
                 SeparationConfig(k=2, L=1.0, t=100.0, M=1.0, n_samples=1200, seed=0)
             )
+        # every ESS is computed before the first failing label raises
+        labels = [
+            "free reference weights",
+            "separated-endpoint weights",
+            "banded-curve weights",
+            "raised-curve weights",
+        ]
+        all_ess = err.value.all_ess
+        assert list(all_ess) == labels
+        failing = [lab for lab in labels if all_ess[lab] < 100.0]
+        assert failing and err.value.ess == all_ess[failing[0]]
+        assert f"{all_ess[failing[0]]:.2f} for {failing[0]}" in str(err.value)
+        for lab in labels:
+            assert f"{lab}: {all_ess[lab]:.2f}" in str(err.value)
+
+    def test_peak_memory_per_sample(self):
+        # proposal batches are released as soon as they are weighed, so the
+        # CLI-default run holds one (n, k, grid) batch at a time: about 3 KB
+        # per sample traced, against 12.5 KB with all four batches alive and
+        # weights built on a full (n, k + 2, grid) stack
+        cfg = SeparationConfig(k=1, L=1.0, t=1000.0, M=1.0, n_samples=4000, seed=0)
+        tracemalloc.start()
+        try:
+            run_separation_experiment(cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak / cfg.n_samples <= 6000, f"{peak / cfg.n_samples:.0f} bytes per sample"
 
     def test_thread_count_validated(self):
         cfg = SeparationConfig(k=1, L=1.0, t=10.0, M=1.0, n_samples=100, seed=0)

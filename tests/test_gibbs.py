@@ -137,6 +137,54 @@ class TestLogWeight:
         with pytest.raises(LengthMismatch):
             log_boltzmann_weight(ens, spec)
 
+    @pytest.mark.parametrize(
+        "h", [ScaledExpHamiltonian(1.0), ScaledExpHamiltonian(1000.0), OrderedHamiltonian()],
+        ids=["t1", "t1000", "wall"],
+    )
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    @pytest.mark.parametrize("upper_finite", [True, False])
+    @pytest.mark.parametrize("lower_finite", [True, False])
+    @pytest.mark.parametrize("window", [None, (0.25, 0.75)])
+    def test_matches_full_stack_formula_bitwise(self, h, k, upper_finite, lower_finite, window):
+        # the plain formula: stack both boundary rows, H on every pair and
+        # column, rows summed in order, one trapezoid per weighted column range
+        m, size = 33, 40
+        grid = Grid(0.0, 1.0, m)
+        rng = np.random.default_rng(k)
+        batch = -1.5 * np.arange(k)[None, :, None] + 0.5 * rng.normal(size=(size, k, m))
+        upper = Curve(grid, 1.5 + 0.3 * rng.normal(size=m)) if upper_finite else PLUS_INF
+        lower = Curve(grid, -1.5 * k + 0.3 * rng.normal(size=m)) if lower_finite else MINUS_INF
+        bd = BoundaryData(batch[0, :, 0], batch[0, :, -1], upper, lower)
+        spec = ConditionalSpec(1, k, (0.0, 1.0), bd, h, window=window)
+        _, _, pts, upper_vals, lower_vals, columns = _prepared_slice(spec, grid)
+        stacked = np.concatenate(
+            [np.broadcast_to(upper_vals, (size, 1, m)), batch,
+             np.broadcast_to(lower_vals, (size, 1, m))], axis=1,
+        )
+        integrand = h.integrand(stacked[:, 1:] - stacked[:, :-1]).sum(axis=1)
+        total = np.zeros(size)
+        for j0, j1 in columns:
+            total += np.trapezoid(integrand[:, j0 : j1 + 1], x=pts[j0 : j1 + 1], axis=1)
+        expected = -total
+        got = _log_weight_batch(batch, pts, upper_vals, lower_vals, h, columns, False)
+        assert got.tobytes() == expected.tobytes()
+        if upper_finite or lower_finite or k > 1:
+            assert np.unique(got).size > 1
+
+    @staticmethod
+    def _paired_grid_gap(h, fine, coarse, paths, spec_on):
+        """Relative normalizer gap, coarse against fine, of the same bridges
+        weighed on both grids, and the standard error of the paired gap."""
+        weights = []
+        for grid, vals in ((fine, paths), (coarse, paths[:, ::2])):
+            _, _, pts, upper, lower, columns = _prepared_slice(spec_on(grid), grid)
+            lw = _log_weight_batch(vals[:, None, :], pts, upper, lower, h, columns, False)
+            weights.append(np.exp(lw))
+        z_fine = weights[0].mean()
+        gap = (weights[1].mean() - z_fine) / z_fine
+        se = (weights[1] - weights[0]).std(ddof=1) / math.sqrt(len(paths)) / z_fine
+        return gap, se
+
     # Trapezoid grid error of soft weights, stated next to LATTICE_POINTS in
     # gibbs.py: the same free bridges weighed on a 65-point grid of [0, 1] and
     # on every other point (spacing 1/64 against 1/32) give normalizers whose
@@ -144,20 +192,35 @@ class TestLogWeight:
     # Measured: 0.5 % at t = 1000, 0.08 % at t = 100 (SE 0.03 % and 0.01 %).
     @pytest.mark.parametrize("t, bound", [(100.0, 2e-3), (1000.0, 1e-2)])
     def test_trapezoid_grid_error_of_soft_weights(self, t, bound):
-        n = 50000
         h = ScaledExpHamiltonian(t)
         fine = Grid(0.0, 1.0, 65)
-        paths = bridge_batch(fine.points, 0.0, 0.0, np.random.default_rng(61), n)
-        weights = []
-        for grid, vals in ((fine, paths), (Grid(0.0, 1.0, 33), paths[:, ::2])):
-            spec = _single_curve_spec(h, constant_curve(grid, -0.3))
-            _, _, pts, upper, lower, columns = _prepared_slice(spec, grid)
-            lw = _log_weight_batch(vals[:, None, :], pts, upper, lower, h, columns, False)
-            weights.append(np.exp(lw))
-        z_fine = weights[0].mean()
-        gap = (weights[1].mean() - z_fine) / z_fine
-        se = (weights[1] - weights[0]).std(ddof=1) / math.sqrt(n) / z_fine
+        paths = bridge_batch(fine.points, 0.0, 0.0, np.random.default_rng(61), 50000)
+        gap, se = self._paired_grid_gap(
+            h, fine, Grid(0.0, 1.0, 33), paths,
+            lambda grid: _single_curve_spec(h, constant_curve(grid, -0.3)),
+        )
         assert abs(gap) + 3.0 * se <= bound, f"gap {gap:.3%} +- {se:.3%}"
+
+    # The same check for the separation runner's free reference weight in its
+    # default geometry (k = 1, L = 1, M = 1): one curve pinned at M on [-2, 2]
+    # over the floor clip(-u^2 / 2, -M, M), weighed off the window (-1, 1).
+    # The runner weighs at spacing 1/32; 257-point bridges are weighed at 1/64
+    # and on every other point. Measured: -0.005 % at t = 100 and -0.001 % at
+    # t = 1000 (SE 0.005 % and 0.013 %).
+    @pytest.mark.parametrize("t", [100.0, 1000.0])
+    def test_trapezoid_grid_error_of_separation_free_weights(self, t):
+        h = ScaledExpHamiltonian(t)
+        M = 1.0
+        fine = Grid(-2.0, 2.0, 257)
+        paths = bridge_batch(fine.points, M, M, np.random.default_rng(61), 20000)
+
+        def spec_on(grid):
+            floor = Curve(grid, np.clip(-0.5 * grid.points**2, -M, M))
+            bd = BoundaryData(np.array([M]), np.array([M]), PLUS_INF, floor)
+            return ConditionalSpec(1, 1, (-2.0, 2.0), bd, h, window=(-1.0, 1.0))
+
+        gap, se = self._paired_grid_gap(h, fine, Grid(-2.0, 2.0, 129), paths, spec_on)
+        assert abs(gap) + 3.0 * se <= 1e-3, f"gap {gap:.3%} +- {se:.3%}"
 
 
 WALL_Z = 1.0 - math.exp(-2.0)  # P(bridge from 0 to 0 on [0,1] stays above -1)
