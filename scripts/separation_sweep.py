@@ -16,6 +16,26 @@ from pathlib import Path
 from gibbslines.experiments import SeparationConfig, run_separation_experiment
 
 
+def shape_table(rows, k: int, length: float, t: float, n: int, seed: int) -> tuple[float, str]:
+    """(D, table) for rows of (M, p): the fitted constant D of the bound
+    log p >= -D (M^2/L + L), and the results/separation_shape.txt table of
+    each row against its bound."""
+    shape = lambda m: m * m / length + length
+    d_fit = max(-math.log(p) / shape(m) for m, p in rows)
+    lines = [
+        f"separation probability vs endpoint spread (k={k}, L={length:g}, "
+        f"t={t:g}, n={n}, seed={seed})",
+        f"fitted decay constant D = {d_fit:.6g} in the bound log p >= -D (M^2 + 1)"
+        if length == 1.0
+        else f"fitted decay constant D = {d_fit:.6g} in the bound log p >= -D (M^2/L + L)",
+    ]
+    for m, p in rows:
+        lines.append(
+            f"M={m:g}  p={p:.17g}  log_p={math.log(p):.6f}  bound={-d_fit * shape(m):.6f}"
+        )
+    return d_fit, "\n".join(lines) + "\n"
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--m-values", type=float, nargs="+", default=[1.0, 1.5, 2.0])
@@ -38,28 +58,16 @@ def main(argv=None) -> int:
         if not p.mean > 0:
             print(f"M={m:g}: estimate underflowed (ess {ess:.0f}); raise --n")
             return 1
-        rows.append((m, p.mean, math.log(p.mean), ess))
-        print(f"M={m:g}: p={p.mean:.6g} +- {p.stderr:.2g}  log_p={rows[-1][2]:.4f}  ess={ess:.0f}")
+        rows.append((m, p.mean))
+        print(f"M={m:g}: p={p.mean:.6g} +- {p.stderr:.2g}  log_p={math.log(p.mean):.4f}  ess={ess:.0f}")
 
-    shape = lambda m: m * m / args.length + args.length
-    d_fit = max(-lp / shape(m) for m, _, lp, _ in rows)
+    d_fit, table = shape_table(rows, args.k, args.length, args.t, args.n, args.seed)
     print(f"fitted decay constant D = {d_fit:.6g} in log p >= -D (M^2/L + L)")
 
     if args.out:
-        lines = [
-            f"separation probability vs endpoint spread (k={args.k}, L={args.length:g}, "
-            f"t={args.t:g}, n={args.n}, seed={args.seed})",
-            f"fitted decay constant D = {d_fit:.6g} in the bound log p >= -D (M^2 + 1)"
-            if args.length == 1.0
-            else f"fitted decay constant D = {d_fit:.6g} in the bound log p >= -D (M^2/L + L)",
-        ]
-        for m, p, lp, _ in rows:
-            lines.append(
-                f"M={m:g}  p={p:.17g}  log_p={lp:.6f}  bound={-d_fit * shape(m):.6f}"
-            )
         out = Path(args.out)
         out.parent.mkdir(parents=True, exist_ok=True)
-        out.write_text("\n".join(lines) + "\n")
+        out.write_text(table)
         print(f"wrote {out}")
     return 0
 

@@ -57,13 +57,15 @@ def free_ensemble_batch(
     rng: np.random.Generator,
     size: int,
 ) -> np.ndarray:
-    """size independent k-curve free ensembles, shape (size, k, n)."""
+    """size independent k-curve free ensembles, shape (size, k, n); the
+    entrance/exit data are (k,), shared, or (size, k), one row per ensemble."""
     x_vec = np.asarray(x_vec, dtype=np.float64)
     y_vec = np.asarray(y_vec, dtype=np.float64)
-    if x_vec.shape != y_vec.shape or x_vec.ndim != 1:
-        raise LengthMismatch("entrance and exit vectors must be equal-length 1-d")
-    k = x_vec.shape[0]
-    flat = bridge_batch(points, np.tile(x_vec, size), np.tile(y_vec, size), rng, size * k)
+    if x_vec.shape != y_vec.shape or x_vec.ndim == 0 or x_vec.shape[:-1] not in ((), (size,)):
+        raise LengthMismatch("entrance and exit data must share one (k,) or (size, k) shape")
+    k = x_vec.shape[-1]
+    x, y = (np.broadcast_to(v, (size, k)).ravel() for v in (x_vec, y_vec))
+    flat = bridge_batch(points, x, y, rng, size * k)
     return flat.reshape(size, k, points.shape[0])
 
 

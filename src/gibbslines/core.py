@@ -145,7 +145,8 @@ class LineEnsemble:
 
 @dataclass(frozen=True)
 class BoundaryData:
-    """Entrance/exit vectors plus the curves (or sentinels) above and below."""
+    """Entrance/exit values, (k,) or one row per draw (B, k), plus the curves
+    (or sentinels) above and below, shared by every row."""
 
     x_vec: np.ndarray
     y_vec: np.ndarray
@@ -155,9 +156,9 @@ class BoundaryData:
     def __post_init__(self):
         x = np.asarray(self.x_vec, dtype=np.float64)
         y = np.asarray(self.y_vec, dtype=np.float64)
-        if x.ndim != 1 or y.ndim != 1 or x.shape != y.shape:
+        if x.ndim not in (1, 2) or x.shape != y.shape:
             raise LengthMismatch(
-                f"entrance/exit vectors must be equal-length 1-d, got {x.shape} and {y.shape}"
+                f"entrance/exit data must share a (k,) or (B, k) shape, got {x.shape} and {y.shape}"
             )
         if not (np.isfinite(x).all() and np.isfinite(y).all()):
             raise ValueError("entrance/exit data must be finite")
@@ -174,7 +175,7 @@ class BoundaryData:
 
     @property
     def k(self) -> int:
-        return self.x_vec.shape[0]
+        return self.x_vec.shape[-1]
 
 
 def _capped_exp(arg: np.ndarray, cap: float) -> np.ndarray:
@@ -245,10 +246,13 @@ class McEstimate:
 
     @classmethod
     def from_samples(cls, samples: np.ndarray, seed: int) -> "McEstimate":
+        """Mean and standard error over the last axis: (B,) arrays for (B, n) samples."""
         samples = np.asarray(samples, dtype=np.float64)
-        n = samples.shape[0]
+        n = samples.shape[-1]
         if n < 1:
             raise LengthMismatch("cannot estimate from zero samples")
-        mean = float(samples.mean())
-        stderr = float(samples.std(ddof=1) / math.sqrt(n)) if n > 1 else 0.0
+        mean = samples.mean(axis=-1)
+        stderr = samples.std(axis=-1, ddof=1) / math.sqrt(n) if n > 1 else 0.0 * mean
+        if samples.ndim == 1:
+            mean, stderr = float(mean), float(stderr)
         return cls(mean=mean, stderr=stderr, n_samples=n, seed=seed)

@@ -54,7 +54,6 @@ from .gibbs import (
     _prepared_slice,
     _truncated_gaussian,
     estimate_Z,
-    sample_conditional,
     sample_conditional_batch,
 )
 
@@ -691,13 +690,14 @@ def run_z_lowerbound_experiment(cfg: SeparationConfig, threads: int = 1) -> Expe
     """Estimate the window normalizer conditional on well-separated endpoints.
 
     Each kept sample realizes the endpoint-separation event by construction;
-    its window normalizer is estimated with an inner free-bridge MC run, and
+    its window normalizer is estimated from 256 inner free ensembles (one
+    estimate_Z call per shard, one entrance/exit row per kept sample), and
     the conditional mean is the importance-weighted average. The fitted ratio
     D4 = exp(-2kL) / min(normalizer) makes the bound Z >= D4^{-1} exp(-2kL)
     hold on every kept sample; samples whose curves also stay within M of
     their window chords get their full-window log weight checked against
-    -2kL directly. Per-sample inner MC caps the useful budget, so the kept
-    sample count is min(n_samples, 384).
+    -2kL directly. The inner runs cap the useful budget, so the kept sample
+    count is min(n_samples, 384).
     """
     _check_threads(threads)
     frame = _SeparationFrame(cfg)
@@ -709,17 +709,13 @@ def run_z_lowerbound_experiment(cfg: SeparationConfig, threads: int = 1) -> Expe
     def shard(m, rng):
         batch, anchors, lmass = _band_proposal_batch(frame, m, rng)
         lw = lmass + frame.log_weights(batch)
-        zmean = np.empty(m)
-        zse = np.empty(m)
-        for i in range(m):
-            spec_i = frame.window_spec(anchors[i, :, 0], anchors[i, :, 1])
-            est = estimate_Z(spec_i, frame.win_grid, n=n_inner, seed=int(rng.integers(2**62)))
-            zmean[i], zse[i] = est.mean, est.stderr
+        spec = frame.window_spec(anchors[:, :, 0], anchors[:, :, 1])
+        z = estimate_Z(spec, frame.win_grid, n=n_inner, seed=int(rng.integers(2**62)))
         window = batch[:, :, frame.iwl : frame.iwr + 1]
         chords = anchors[:, :, 0, None] + (anchors[:, :, 1] - anchors[:, :, 0])[:, :, None] * frac
         osc = np.all(np.abs(window - chords) <= M, axis=(1, 2))
         logw_win = frame.window_log_weights(window)
-        return lw, zmean, zse, osc, logw_win
+        return lw, z.mean, z.stderr, osc, logw_win
 
     lw, zmean, zse, osc, logw_win = _run_shards(shard, n_keep, cfg.seed, threads)
 
@@ -902,7 +898,9 @@ def run_fluctuation_experiment(
     A three-curve ensemble on [-1, 1] under the unit-scale soft penalty gets
     synthetic boundary data (sorted uniforms from [-boundary_box, box]); the
     large-fluctuation event is a top-curve range of at least K sqrt(d) over
-    [0, d]. For each K the empirical mixture probability is compared with
+    [0, d]; per DRAW_CHUNK boundaries one estimate_Z call (192 ensembles a
+    row) and one sample_conditional_batch call draw the normalizers and the
+    ensembles. For each K the empirical mixture probability is compared with
     P(bad boundary) + exp(-K^2 / (2C)), where the good-boundary set demands
     bounded endpoint values and a normalizer at least exp(-K^2 / (2C)).
 
@@ -950,20 +948,19 @@ def run_fluctuation_experiment(
     c_fit = max(1.0, c_raw / (factor * factor))
 
     def shard(m, rng):
-        ranges = np.empty(m)
-        zs = np.empty(m)
-        maxabs = np.empty(m)
-        for i in range(m):
-            x = np.sort(rng.uniform(-boundary_box, boundary_box, 3))[::-1]
-            y = np.sort(rng.uniform(-boundary_box, boundary_box, 3))[::-1]
+        ranges, zs, maxabs = [], [], []
+        for done in range(0, m, DRAW_CHUNK):
+            rows = min(DRAW_CHUNK, m - done)
+            x = np.sort(rng.uniform(-boundary_box, boundary_box, (rows, 3)), axis=1)[:, ::-1]
+            y = np.sort(rng.uniform(-boundary_box, boundary_box, (rows, 3)), axis=1)[:, ::-1]
             bd = BoundaryData(x_vec=x, y_vec=y, upper=PLUS_INF, lower=MINUS_INF)
             spec = ConditionalSpec(1, 3, (-1.0, 1.0), bd, h)
-            zs[i] = estimate_Z(spec, grid, n=192, seed=int(rng.integers(2**62))).mean
-            ens, _ = sample_conditional(spec, grid, rng, batch=48)
-            top = ens.curves[0, win]
-            ranges[i] = float(top.max() - top.min())
-            maxabs[i] = max(float(np.abs(x).max()), float(np.abs(y).max()))
-        return ranges, zs, maxabs
+            zs.append(estimate_Z(spec, grid, n=192, seed=int(rng.integers(2**62))).mean)
+            curves, _ = sample_conditional_batch(spec, grid, rng, rows)
+            top = curves[:, 0, win]
+            ranges.append(top.max(axis=1) - top.min(axis=1))
+            maxabs.append(np.maximum(np.abs(x).max(axis=1), np.abs(y).max(axis=1)))
+        return np.concatenate(ranges), np.concatenate(zs), np.concatenate(maxabs)
 
     ranges, zs, maxabs = _run_shards(shard, n_samples, seed, threads)
 

@@ -17,10 +17,11 @@ H is evaluated only on the pairs and columns that carry weight: a sentinel
 pair (its gap is -inf, and H(-inf) = 0) is never formed, and the unweighted
 window columns of an off-window weight are never evaluated.
 
-For the hard ordering Hamiltonian, estimators can replace the grid-level
-ordering indicator with the exact per-segment non-crossing probability of the
-(gap) bridge between grid points, which removes the O(sqrt(spacing)) grid
-bias exactly as in bridge_analytics.
+For the hard ordering Hamiltonian, estimate_Z and the exact samplers replace
+the grid-level ordering indicator with the exact per-segment non-crossing
+probability of the (gap) bridge between grid points, which removes the
+O(sqrt(spacing)) grid bias exactly as in bridge_analytics. They also take one
+entrance/exit row per draw from a (B, k) spec: B rows cost one Python call.
 """
 
 from __future__ import annotations
@@ -52,7 +53,8 @@ from .errors import (
     RejectionBudgetExhausted,
 )
 
-Z_BATCH = 5000  # free ensembles weighed at once by estimate_Z
+Z_BATCH = 1024  # candidate curves estimate_Z weighs at once; larger chunks measured slower
+CANDIDATE_BATCH = 32  # free candidates per round of sample_conditional_batch
 
 
 @dataclass(frozen=True)
@@ -112,17 +114,6 @@ def _integration_columns(pts: np.ndarray, grid: Grid, spec: ConditionalSpec, ia:
     ja = grid.index_of(ap) - ia
     jb = grid.index_of(bp) - ia
     return [(0, ja), (jb, pts.shape[0] - 1)]
-
-
-def _stack_with_boundaries(
-    batch: np.ndarray, upper_vals: np.ndarray, lower_vals: np.ndarray
-) -> np.ndarray:
-    size, k, m = batch.shape
-    stacked = np.empty((size, k + 2, m))
-    stacked[:, 0, :] = upper_vals
-    stacked[:, 1 : k + 1, :] = batch
-    stacked[:, k + 1, :] = lower_vals
-    return stacked
 
 
 def _weighted_pairs(batch: np.ndarray, upper_vals: np.ndarray, lower_vals: np.ndarray) -> list:
@@ -220,25 +211,25 @@ def _prepared_slice(spec: ConditionalSpec, grid: Grid):
     return ia, ib, pts, upper, lower, columns
 
 
-def estimate_Z(
-    spec: ConditionalSpec,
-    grid: Grid,
-    n: int,
-    seed: int,
-    crossing_correction: bool = True,
-) -> McEstimate:
-    """MC estimate of the conditional normalizer Z = E_free[W] in (0, 1]."""
+def estimate_Z(spec: ConditionalSpec, grid: Grid, n: int, seed: int) -> McEstimate:
+    """MC estimate of the conditional normalizer Z = E_free[W] in (0, 1].
+
+    A (B, k) spec gives (B,) mean and stderr: row b averages n free ensembles,
+    rows taking theirs in turn from one default_rng(seed) stream, built and
+    weighed at most Z_BATCH curves at a time (chunks do not move the stream).
+    """
     ia, ib, pts, upper, lower, columns = _prepared_slice(spec, grid)
+    x, y = spec.boundary.x_vec, spec.boundary.y_vec
+    lw = np.empty(x.shape[:-1] + (n,))
+    flat = lw.reshape(-1)
+    chunk = max(1, Z_BATCH // spec.n_curves)
     rng = np.random.default_rng(seed)
-    weights = []
-    done = 0
-    while done < n:
-        m = min(Z_BATCH, n - done)
-        cand = free_ensemble_batch(pts, spec.boundary.x_vec, spec.boundary.y_vec, rng, m)
-        lw = _log_weight_batch(cand, pts, upper, lower, spec.hamiltonian, columns, crossing_correction)
-        weights.append(np.exp(lw))
-        done += m
-    return McEstimate.from_samples(np.concatenate(weights), seed)
+    for e0 in range(0, flat.size, chunk):
+        m = min(chunk, flat.size - e0)
+        rows = np.arange(e0, e0 + m) // n  # entrance/exit row of each candidate
+        cand = free_ensemble_batch(pts, *((x, y) if x.ndim == 1 else (x[rows], y[rows])), rng, m)
+        flat[e0 : e0 + m] = _log_weight_batch(cand, pts, upper, lower, spec.hamiltonian, columns, True)
+    return McEstimate.from_samples(np.exp(lw), seed)
 
 
 def sample_conditional_batch(
@@ -247,39 +238,40 @@ def sample_conditional_batch(
     rng: np.random.Generator,
     n: int,
     budget: int = 10**6,
-    crossing_correction: bool = True,
-    batch: int = 32,
 ) -> tuple[np.ndarray, np.ndarray]:
     """n independent exact conditional draws; returns (curves, attempts).
 
-    curves has shape (n, k, m) on the interval's m grid points. Candidates are
-    free ensembles drawn in chunks of `batch`; a candidate with log weight lw
-    is accepted when log U <= lw, and every accepted candidate of a chunk is
-    kept, in order. attempts[i] counts the candidates drawn since the previous
-    acceptance, so the attempts are i.i.d. geometric with mean 1/Z. A draw that
-    spends `budget` candidates raises instead of looping forever.
+    curves has shape (n, k, m) on the interval's m grid points; draw i follows
+    row i of a (n, k) spec. Each round draws ceil(CANDIDATE_BATCH / p) free
+    candidates for each of the p pending draws, in draw order; a candidate with
+    log weight lw is accepted when log U <= lw, and a draw takes its first
+    accepted one. attempts[i] counts the candidates drawn for draw i, i.i.d.
+    geometric with mean 1/Z_i. All pending draws have spent the same count; at
+    `budget` the call raises instead of looping forever.
     """
     ia, ib, pts, upper, lower, columns = _prepared_slice(spec, grid)
+    x, y = spec.boundary.x_vec, spec.boundary.y_vec
+    if x.shape[:-1] not in ((), (n,)):
+        raise LengthMismatch(f"entrance/exit rows {x.shape} for {n} draws")
     curves = np.empty((n, spec.n_curves, pts.shape[0]))
     attempts = np.empty(n, dtype=np.int64)
-    got = 0
-    since = 0  # candidates spent on the draw in progress
-    while got < n:
-        if since >= budget:
+    pending = np.arange(n)
+    spent = 0  # candidates drawn by each pending draw
+    while pending.size:
+        if spent >= budget:
             raise RejectionBudgetExhausted(budget, f"block {spec.k1}..{spec.k2} on {spec.interval}")
-        m = min(batch, budget - since)
-        cand = free_ensemble_batch(pts, spec.boundary.x_vec, spec.boundary.y_vec, rng, m)
-        lw = _log_weight_batch(cand, pts, upper, lower, spec.hamiltonian, columns, crossing_correction)
-        logu = np.log(rng.random(m))
-        accepted = np.flatnonzero(logu <= lw)[: n - got]
-        if accepted.size == 0:
-            since += m
-            continue
-        take = slice(got, got + accepted.size)
-        curves[take] = cand[accepted]
-        attempts[take] = np.diff(accepted, prepend=-1 - since)
-        got += accepted.size
-        since = m - 1 - int(accepted[-1])
+        p = pending.size
+        c = min(-(-CANDIDATE_BATCH // p), budget - spent)
+        rows = np.repeat(pending, c)  # entrance/exit row of each candidate
+        cand = free_ensemble_batch(pts, *((x, y) if x.ndim == 1 else (x[rows], y[rows])), rng, p * c)
+        lw = _log_weight_batch(cand, pts, upper, lower, spec.hamiltonian, columns, True)
+        accepted = (np.log(rng.random(p * c)) <= lw).reshape(p, c)
+        hit = accepted.any(axis=1)
+        first = accepted[hit].argmax(axis=1)
+        curves[pending[hit]] = cand.reshape(p, c, *cand.shape[1:])[hit, first]
+        attempts[pending[hit]] = spent + first + 1
+        pending = pending[~hit]
+        spent += c
     return curves, attempts
 
 
@@ -288,17 +280,13 @@ def sample_conditional(
     grid: Grid,
     rng: np.random.Generator,
     budget: int = 10**6,
-    crossing_correction: bool = True,
-    batch: int = 32,
 ) -> tuple[LineEnsemble, int]:
     """One exact conditional draw; returns (block, attempts).
 
     The n = 1 case of sample_conditional_batch: the attempt count is geometric
     with mean 1/Z, so tiny normalizers exhaust the budget and raise.
     """
-    curves, attempts = sample_conditional_batch(
-        spec, grid, rng, 1, budget=budget, crossing_correction=crossing_correction, batch=batch
-    )
+    curves, attempts = sample_conditional_batch(spec, grid, rng, 1, budget=budget)
     ia, ib = _slice_indices(grid, spec)
     sub_grid = Grid(float(grid.points[ia]), float(grid.points[ib]), ib - ia + 1)
     return LineEnsemble(sub_grid, curves[0]), int(attempts[0])
@@ -310,8 +298,6 @@ def mcmc_sweep(
     h: Hamiltonian,
     rng: np.random.Generator,
     block: tuple[int, int, float, float],
-    budget: int = 10**6,
-    crossing_correction: bool = True,
 ) -> LineEnsemble:
     """Replace one block (curve range, sub-interval) by an exact conditional draw.
 
@@ -338,9 +324,7 @@ def mcmc_sweep(
     sub_spec = ConditionalSpec(
         k1=i1, k2=i2, interval=(a, b), boundary=sub_boundary, hamiltonian=h
     )
-    draw, _ = sample_conditional(
-        sub_spec, grid, rng, budget=budget, crossing_correction=crossing_correction
-    )
+    draw, _ = sample_conditional(sub_spec, grid, rng)
     new_curves = state.curves.copy()
     new_curves[i1 - 1 : i2, ia : ib + 1] = draw.curves
     return LineEnsemble(grid, new_curves)
@@ -426,6 +410,7 @@ LOG_LINEAR_MIN = 1e-5  # cells with a flatter log slope fall back to trapezoid
 TAIL_MASS = 1e-12
 LATTICE_HALF_WIDTH = 8.0  # in units of the free conditional standard deviation
 MAX_WIDEN = 40  # lattice widenings per site before giving up
+END_OFFSET = 1e-6  # truncated-Gaussian draws this close to an end (in sigma) are placed from it
 
 
 def _site_gaussian(pts: np.ndarray, j: int):
@@ -577,8 +562,23 @@ def _lattice_draws(mu_list, sigma, above_list, below_list, trap, h, u):
     return [_invert_log_linear(vs, cells, slopes, u) for cells, slopes in fits]
 
 
+def _end_offset(share, e, step, log_mass, width):
+    """z-distance s inward (direction step) from window end e below which the
+    window holds `share` of its mass, for the end's log-linear density
+    phi(e) exp(-c s), c = step e: accurate to s^2 for s <= END_OFFSET, +inf
+    where e is not finite. A window narrower than END_OFFSET takes its mass
+    from its z-width, since its ends may sit ulps of mu apart."""
+    c, cw = step * e, step * e * width
+    q = share * np.where(  # share of the window mass over phi(e)
+        width <= END_OFFSET, width * np.where(cw == 0.0, 1.0, -np.expm1(-cw) / cw),
+        np.exp(log_mass + 0.5 * e * e) * math.sqrt(2 * math.pi))
+    s = q * np.where(c * q == 0.0, 1.0, -np.log1p(-c * q) / (c * q))  # (1 - exp(-c s)) / c = q
+    return np.where(np.isnan(s), np.inf, s)
+
+
 def _truncated_gaussian(mu, sigma, lo, hi, u):
-    """Inverse-CDF draw of N(mu, sigma^2) restricted to [lo, hi], exact.
+    """Inverse-CDF draw of N(mu, sigma^2) restricted to [lo, hi], exact (to
+    END_OFFSET^2 relative within END_OFFSET sigma of an end, see _end_offset).
 
     Returns (values, log_mass) with log_mass the log Gaussian mass of the
     window. Values are nondecreasing in mu, lo, hi and u. A window above the
@@ -601,8 +601,17 @@ def _truncated_gaussian(mu, sigma, lo, hi, u):
     mass = np.maximum(p + (1.0 - p) * ratio, np.finfo(float).tiny)
     z = ndtri_exp(log_hi + np.log(mass))
     v = mu + sigma * np.where(flip, -z, z)
-    with np.errstate(divide="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         log_mass = log_hi + np.log1p(-ratio)
+        # a draw within END_OFFSET of an end is placed from that end: the round
+        # trip above and mu + sigma z would land it ulps off, unordered in mu
+        width = (hi - lo) / sigma
+        off_lo = _end_offset(p, lo_z, 1.0, log_mass, width)
+        off_hi = _end_offset(np.where(flip, u, 1.0 - u), hi_z, -1.0, log_mass, width)
+        inward = sigma * np.where(flip, -1.0, 1.0)
+        near = np.where(off_hi < off_lo, np.where(flip, lo, hi) - inward * off_hi,
+                        np.where(flip, hi, lo) + inward * off_lo)
+    v = np.where(np.minimum(off_lo, off_hi) <= END_OFFSET, near, v)
     # rounding can land an ulp outside the window: project back (clip is
     # monotone in all three arguments, so coupling order survives)
     return np.clip(v, lo, hi), log_mass
@@ -646,10 +655,10 @@ def _scan(states, outers, grid: Grid, h: Hamiltonian, u: np.ndarray) -> tuple:
     k, n = states[0].shape[1:]
     pts = grid.points
     # row 0 holds the upper boundary and row k + 1 the lower one
-    stacks = [
-        _stack_with_boundaries(s, _boundary_row(o.upper, grid), _boundary_row(o.lower, grid))
-        for s, o in zip(states, outers)
-    ]
+    stacks = []
+    for s, o in zip(states, outers):
+        up, low = (np.broadcast_to(_boundary_row(b, grid), (s.shape[0], 1, n)) for b in (o.upper, o.lower))
+        stacks.append(np.concatenate([up, s, low], axis=1))
     for i in range(1, k + 1):
         for j in range(1, n - 1):
             w1, sigma, trap = _site_gaussian(pts, j)
@@ -684,24 +693,6 @@ def heat_bath_sweep(
     u = rng.random((1, state.k, state.grid.n - 2))
     new = heat_bath_scan_batch(state.curves[None], state.grid, outer, h, u)
     return LineEnsemble(state.grid, new[0])
-
-
-def _check_pointwise_order(lo_vals, hi_vals, what: str):
-    if np.any(lo_vals > hi_vals):
-        raise OrderViolationInput(f"{what}: lower state exceeds upper state somewhere")
-
-
-def _boundary_le(b_lo, b_hi, grid: Grid, what: str):
-    lo_row = _boundary_row(b_lo, grid)
-    hi_row = _boundary_row(b_hi, grid)
-    # -inf <= anything and anything <= +inf hold automatically
-    finite = np.isfinite(lo_row) & np.isfinite(hi_row)
-    if np.any(lo_row[finite] > hi_row[finite]):
-        raise OrderViolationInput(f"{what}: boundaries are not ordered")
-    if np.any(np.isposinf(lo_row) & ~np.isposinf(hi_row)):
-        raise OrderViolationInput(f"{what}: lower +inf above finite upper")
-    if np.any(np.isneginf(hi_row) & ~np.isneginf(lo_row)):
-        raise OrderViolationInput(f"{what}: upper -inf below finite lower")
 
 
 def coupled_scan_batch(
@@ -741,11 +732,16 @@ def monotone_coupled_sweep(
     """
     if lo.grid != hi.grid:
         raise GridMismatch("coupled states must share a grid")
-    _check_pointwise_order(lo.curves, hi.curves, "initial states")
-    _boundary_le(outer_lo.upper, outer_hi.upper, lo.grid, "upper boundary")
-    _boundary_le(outer_lo.lower, outer_hi.lower, lo.grid, "lower boundary")
-    if np.any(outer_lo.x_vec > outer_hi.x_vec) or np.any(outer_lo.y_vec > outer_hi.y_vec):
-        raise OrderViolationInput("entrance/exit data are not ordered")
+    # a +inf or -inf sentinel row compares correctly against any value
+    for what, a, b in (
+        ("initial states", lo.curves, hi.curves),
+        ("upper boundaries", _boundary_row(outer_lo.upper, lo.grid), _boundary_row(outer_hi.upper, lo.grid)),
+        ("lower boundaries", _boundary_row(outer_lo.lower, lo.grid), _boundary_row(outer_hi.lower, lo.grid)),
+        ("entrance values", outer_lo.x_vec, outer_hi.x_vec),
+        ("exit values", outer_lo.y_vec, outer_hi.y_vec),
+    ):
+        if np.any(a > b):
+            raise OrderViolationInput(f"{what} are not ordered")
     u = shared_rng.random((1, lo.k, lo.grid.n - 2))
     new_lo, new_hi = coupled_scan_batch(
         lo.curves[None], hi.curves[None], lo.grid, outer_lo, outer_hi, h, u

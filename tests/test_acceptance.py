@@ -6,6 +6,7 @@ Monte Carlo comparisons run at frozen seeds; "3 SE" always means three
 combined standard errors of the quantities being compared.
 """
 
+import importlib.util
 import math
 import time
 from pathlib import Path
@@ -41,10 +42,19 @@ from gibbslines.gibbs import (
     estimate_Z,
     heat_bath_scan_batch,
     sample_conditional,
+    sample_conditional_batch,
 )
 from gibbslines.scaling import ScalingParams
 
-RESULTS_DIR = Path(__file__).resolve().parents[1] / "results"
+ROOT = Path(__file__).resolve().parents[1]
+RESULTS_DIR = ROOT / "results"
+
+
+def _load_script(name):
+    spec = importlib.util.spec_from_file_location(name, ROOT / "scripts" / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 # ---------------------------------------------------------------------------
@@ -118,11 +128,8 @@ def _accepted_minima(grid_n: int, n_accept: int, seed: int):
         k1=1, k2=1, interval=(0.0, 1.0), boundary=bd, hamiltonian=OrderedHamiltonian()
     )
     rng = np.random.default_rng(seed)
-    rows = np.empty((n_accept, grid_n))
-    for i in range(n_accept):
-        ens, _ = sample_conditional(spec, grid, rng)
-        rows[i] = ens.curves[0]
-    minima = sample_bridge_minima(rows, grid.spacing, rng, barrier=beta)
+    curves, _ = sample_conditional_batch(spec, grid, rng, n_accept)
+    minima = sample_bridge_minima(curves[:, 0], grid.spacing, rng, barrier=beta)
 
     p_beta = math.exp(-2.0 * (x - beta) * (y - beta))
 
@@ -317,12 +324,7 @@ def test_criterion_05_heat_bath_preserves_conditional_law():
     B = 10_000
 
     def exact_batch(seed):
-        rng = np.random.default_rng(seed)
-        out = np.empty((B, 2, n))
-        for i in range(B):
-            ens, _ = sample_conditional(spec, grid, rng)
-            out[i] = ens.curves
-        return out
+        return sample_conditional_batch(spec, grid, np.random.default_rng(seed), B)[0]
 
     swept = exact_batch(930)
     rng_u = np.random.default_rng(931)
@@ -382,12 +384,8 @@ def test_criterion_06_resample_and_scale_commute():
     )
 
     def midpoints(spec, grid, seed):
-        rng = np.random.default_rng(seed)
-        out = np.empty(n_draw)
-        for i in range(n_draw):
-            ens, _ = sample_conditional(spec, grid, rng)
-            out[i] = ens.curves[0][n // 2]
-        return out
+        curves, _ = sample_conditional_batch(spec, grid, np.random.default_rng(seed), n_draw)
+        return curves[:, 0, n // 2]
 
     mid_u = midpoints(spec_u, grid_u, 940)
     mid_s = midpoints(spec_s, grid_s, 941)
@@ -428,15 +426,9 @@ def test_criterion_07_separation_decay_dominated_by_quadratic():
 
     RESULTS_DIR.mkdir(exist_ok=True)
     out = RESULTS_DIR / "separation_shape.txt"
-    lines = [
-        "separation probability vs endpoint spread (k=2, L=1, t=100, n=100000, seed=5)",
-        f"fitted decay constant D = {d_fit:.6g} in the bound log p >= -D (M^2 + 1)",
-    ]
-    for m, p, lp in rows:
-        lines.append(
-            f"M={m:g}  p={p:.17g}  log_p={lp:.6f}  bound={-d_fit * (m * m + 1.0):.6f}"
-        )
-    out.write_text("\n".join(lines) + "\n")
+    sweep = _load_script("separation_sweep")
+    _, table = sweep.shape_table([(m, p) for m, p, _ in rows], 2, 1.0, 100.0, 100_000, 5)
+    out.write_text(table)
     assert out.exists()
 
     elapsed = time.perf_counter() - t0

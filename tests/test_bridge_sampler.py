@@ -159,6 +159,19 @@ class TestFreeEnsemble:
         rng = np.random.default_rng(10)
         with pytest.raises(LengthMismatch):
             free_ensemble_batch(np.linspace(0, 1, 5), np.zeros(2), np.zeros(3), rng, 1)
+        with pytest.raises(LengthMismatch):  # one row per ensemble, or one shared row
+            free_ensemble_batch(np.linspace(0, 1, 5), np.zeros((3, 2)), np.zeros((3, 2)), rng, 4)
+
+    def test_per_ensemble_rows(self):
+        pts = np.linspace(0, 1, 9)
+        x = np.array([2.0, 0.0, -2.0])
+        y = np.array([1.0, 0.0, -1.0])
+        shared = free_ensemble_batch(pts, x, y, np.random.default_rng(12), 5)
+        rows = free_ensemble_batch(pts, np.tile(x, (5, 1)), np.tile(y, (5, 1)), np.random.default_rng(12), 5)
+        assert np.array_equal(shared, rows)
+        xs = np.arange(15.0).reshape(5, 3)
+        batch = free_ensemble_batch(pts, xs, -xs, np.random.default_rng(13), 5)
+        assert np.array_equal(batch[:, :, 0], xs) and np.array_equal(batch[:, :, -1], -xs)
 
     def test_ensemble_wrapper(self):
         grid = Grid(-1.0, 1.0, 9)

@@ -5,6 +5,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 from gibbslines.core import (
+    MINUS_INF,
+    PLUS_INF,
+    BoundaryData,
     Curve,
     ExpHamiltonian,
     Grid,
@@ -163,6 +166,22 @@ class TestHamiltonians:
         assert _at(h, mid) <= 0.5 * (_at(h, lo) + _at(h, hi)) + 1e-9 * _at(h, hi)
 
 
+class TestBoundaryData:
+    def test_rows_share_the_curve_count(self):
+        bd = BoundaryData(np.zeros((4, 2)), np.ones((4, 2)), PLUS_INF, MINUS_INF)
+        assert bd.k == 2 and bd.x_vec.shape == (4, 2)
+        assert BoundaryData(np.zeros(3), np.zeros(3), PLUS_INF, MINUS_INF).k == 3
+
+    @pytest.mark.parametrize("x, y", [
+        (np.zeros((4, 2)), np.zeros((3, 2))),
+        (np.zeros(2), np.zeros((1, 2))),
+        (np.zeros((2, 2, 2)), np.zeros((2, 2, 2))),
+    ])
+    def test_shapes_must_agree(self, x, y):
+        with pytest.raises(LengthMismatch):
+            BoundaryData(x, y, PLUS_INF, MINUS_INF)
+
+
 class TestMcEstimate:
     def test_zero_variance(self):
         est = McEstimate.from_samples(np.ones(100), seed=7)
@@ -173,3 +192,11 @@ class TestMcEstimate:
         est = McEstimate.from_samples(samples, seed=1)
         assert est.mean == pytest.approx(1.5)
         assert est.stderr == pytest.approx(samples.std(ddof=1) / 2.0)
+
+    def test_rows_estimate_one_mean_each(self):
+        samples = np.random.default_rng(3).random((3, 50))
+        est = McEstimate.from_samples(samples, seed=1)
+        assert est.mean.shape == est.stderr.shape == (3,) and est.n_samples == 50
+        for row in range(3):
+            one = McEstimate.from_samples(samples[row], seed=1)
+            assert (est.mean[row], est.stderr[row]) == (one.mean, one.stderr)

@@ -243,6 +243,18 @@ class TestZLowerBound:
         assert ok
         assert 0.0 < zlb_k2.estimate("chord_band_fraction").mean <= 1.0
 
+    def test_peak_memory_of_default_run(self):
+        # one estimate_Z call holds the 384 x 256 inner weights and one chunk
+        # of at most Z_BATCH candidate curves: 4.2 MB traced
+        cfg = SeparationConfig(k=2, L=1.0, t=100.0, M=1.0, n_samples=2000, seed=0)
+        tracemalloc.start()
+        try:
+            run_z_lowerbound_experiment(cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 14e6, f"{peak / 1e6:.1f} MB"
+
 
 class TestOrdering:
     def test_report_passes(self, ordering_k2):

@@ -56,6 +56,13 @@ def _single_curve_spec(h, lower, x=0.0, y=0.0, interval=(0.0, 1.0)):
     return ConditionalSpec(k1=1, k2=1, interval=interval, boundary=bd, hamiltonian=h)
 
 
+def _pinned_rows_spec(grid, d):
+    """One curve on [0, 1] over a hard wall at 0, pinned at d[i] at both ends
+    in row i; row i's normalizer is 1 - exp(-2 d_i^2)."""
+    bd = BoundaryData(d[:, None], d[:, None], PLUS_INF, constant_curve(grid, 0.0))
+    return ConditionalSpec(k1=1, k2=1, interval=(0.0, 1.0), boundary=bd, hamiltonian=OrderedHamiltonian())
+
+
 class TestConditionalSpec:
     def test_boundary_size_must_match_block(self):
         bd = BoundaryData(np.zeros(2), np.zeros(2), PLUS_INF, MINUS_INF)
@@ -253,6 +260,28 @@ class TestEstimateZ:
         est = estimate_Z(spec, grid, n=3000, seed=9)
         assert 0.0 < est.mean <= 1.0
 
+    def test_per_row_estimates_match_closed_forms(self):
+        grid = Grid(0.0, 1.0, 33)
+        d = np.array([0.2, 0.5, 0.9, 1.4])
+        est = estimate_Z(_pinned_rows_spec(grid, d), grid, n=20000, seed=5)
+        assert est.mean.shape == est.stderr.shape == (4,) and est.n_samples == 20000
+        z = 1.0 - np.exp(-2.0 * d * d)
+        for row in range(4):
+            assert abs(est.mean[row] - z[row]) < 4 * est.stderr[row], row
+
+    def test_one_row_spec_and_chunking_keep_the_stream(self, monkeypatch):
+        grid = Grid(0.0, 1.0, 17)
+        d = np.array([0.3, 0.8, 1.1])
+        one = estimate_Z(_pinned_rows_spec(grid, d[:1]), grid, n=500, seed=2)
+        flat = estimate_Z(_single_curve_spec(OrderedHamiltonian(), constant_curve(grid, 0.0), x=0.3, y=0.3),
+                          grid, n=500, seed=2)
+        assert (one.mean[0], one.stderr[0]) == (flat.mean, flat.stderr)
+        rows = estimate_Z(_pinned_rows_spec(grid, d), grid, n=500, seed=2)
+        monkeypatch.setattr("gibbslines.gibbs.Z_BATCH", 7)  # chunks straddle rows
+        small = estimate_Z(_pinned_rows_spec(grid, d), grid, n=500, seed=2)
+        assert np.array_equal(rows.mean, small.mean) and np.array_equal(rows.stderr, small.stderr)
+        assert rows.mean[0] == flat.mean
+
 
 class TestSampleConditional:
     def test_free_spec_accepts_first_attempt(self):
@@ -311,12 +340,6 @@ class TestSampleConditionalBatch:
             assert curves.shape == (1, 1, 33) and attempts.shape == (1,)
             assert np.array_equal(curves[0], ens.curves)
             assert int(attempts[0]) == att
-            # one-candidate chunks leave nothing over, so n draws replay n calls
-            rng = np.random.default_rng(12)
-            singles = [sample_conditional(spec, grid, rng, batch=1) for _ in range(5)]
-            curves, attempts = sample_conditional_batch(spec, grid, np.random.default_rng(12), 5, batch=1)
-            assert np.array_equal(curves, np.stack([e.curves for e, _ in singles]))
-            assert attempts.tolist() == [a for _, a in singles]
 
     def test_attempts_match_inverse_z_and_draws_clear_the_wall(self):
         d = 0.4
@@ -331,6 +354,29 @@ class TestSampleConditionalBatch:
         assert attempts.min() >= 1
         se = math.sqrt((1.0 - z) / z**2 / n)
         assert abs(attempts.mean() - 1.0 / z) < 5 * se
+
+    def test_per_row_draws_keep_their_pins_and_attempt_rates(self):
+        grid = Grid(0.0, 1.0, 33)
+        n = 3000
+        d = np.linspace(0.3, 1.2, n)
+        curves, attempts = sample_conditional_batch(
+            _pinned_rows_spec(grid, d), grid, np.random.default_rng(14), n
+        )
+        assert curves.shape == (n, 1, 33)
+        assert np.array_equal(curves[:, 0, 0], d) and np.array_equal(curves[:, 0, -1], d)
+        assert curves.min() > 0.0
+        # attempts_i Z_i has mean 1 and variance 1 - Z_i
+        z = 1.0 - np.exp(-2.0 * d * d)
+        se = math.sqrt(np.mean(1.0 - z) / n)
+        assert abs(np.mean(attempts * z) - 1.0) < 5 * se
+
+    def test_row_count_must_match_draw_count(self):
+        grid = Grid(0.0, 1.0, 17)
+        spec = _pinned_rows_spec(grid, np.array([0.5, 0.7, 0.9]))
+        with pytest.raises(LengthMismatch):
+            sample_conditional_batch(spec, grid, np.random.default_rng(0), 2)
+        with pytest.raises(LengthMismatch):
+            sample_conditional(spec, grid, np.random.default_rng(0))
 
     def test_tiny_budget_raises(self):
         d = 0.05  # Z = 1 - exp(-2 d^2) ~ 0.005
