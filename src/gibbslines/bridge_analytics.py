@@ -5,6 +5,9 @@ The closed forms are for a diffusion-parameter-1 bridge B on [a, b] from x to y:
     P(inf B <= beta) = exp(-2 (x - m)(y - m) / (b - a)),   m = min(beta, x, y)
     P(sup B >= beta) = exp(-2 (M - x)(M - y) / (b - a)),   M = max(beta, x, y)
 
+The segment laws take the segment's variance delta: its length times the
+diffusion parameter (2 for the gap of two independent curves).
+
 The MC oracle samples bridges on a coarse grid and, instead of checking the
 grid minimum, accumulates the exact conditional crossing probability of each
 segment given its endpoint values. That removes the O(sqrt(grid spacing)) bias
@@ -52,25 +55,22 @@ def gaussian_tail_bound(a: float) -> float:
     return INV_SQRT_2PI * math.exp(-0.5 * a * a) / a
 
 
-def segment_log_crossing(
-    d0: np.ndarray, d1: np.ndarray, delta: float, sigma2: float = 1.0
-) -> np.ndarray:
+def segment_log_crossing(d0: np.ndarray, d1: np.ndarray, delta) -> np.ndarray:
     """Log probability that a bridge segment dips to 0, given endpoint gaps d0, d1 > 0.
 
-    d0 and d1 are the endpoint distances above the barrier; sigma2 is the
-    diffusion parameter (2 for the difference of two independent curves).
+    d0 and d1 are the endpoint distances above the barrier; delta is the
+    segment's variance (a scalar or an array broadcasting against the gaps).
     """
-    return -2.0 * d0 * d1 / (sigma2 * delta)
+    return -2.0 * d0 * d1 / delta
 
 
-def segment_log_survival(
-    d0: np.ndarray, d1: np.ndarray, delta: float, sigma2: float = 1.0
-) -> np.ndarray:
-    """Log of 1 - crossing probability; -inf wherever an endpoint gap is <= 0."""
+def segment_log_survival(d0: np.ndarray, d1: np.ndarray, delta) -> np.ndarray:
+    """Log of 1 - crossing probability for a segment of variance delta; -inf
+    wherever an endpoint gap is <= 0."""
     d0 = np.asarray(d0, dtype=np.float64)
     d1 = np.asarray(d1, dtype=np.float64)
     both_above = (d0 > 0) & (d1 > 0)
-    logc = segment_log_crossing(np.where(both_above, d0, 1.0), np.where(both_above, d1, 1.0), delta, sigma2)
+    logc = segment_log_crossing(np.where(both_above, d0, 1.0), np.where(both_above, d1, 1.0), delta)
     with np.errstate(divide="ignore"):
         out = np.where(both_above, np.log1p(-np.exp(logc)), -np.inf)
     return out
@@ -122,9 +122,9 @@ def barrier_tail_mc(
     seed: int,
     side: str = "min",
     grid_n: int = 65,
-    crossing_correction: bool = True,
 ) -> McEstimate:
-    """MC estimate of P(inf <= beta) (side="min") or P(sup >= beta) (side="max")."""
+    """MC estimate of P(inf <= beta) (side="min") or P(sup >= beta) (side="max"),
+    unbiased at any grid_n: each sample is a crossing probability given grid values."""
     _check_interval(a, b)
     if side == "max":
         # reflection: sup of B >= beta iff inf of -B <= -beta
@@ -138,15 +138,9 @@ def barrier_tail_mc(
     done = 0
     while done < n:
         m = min(BARRIER_MC_BATCH, n - done)
-        vals = bridge_batch(pts, x, y, rng, m)
-        gaps0 = vals[:, :-1] - beta
-        gaps1 = vals[:, 1:] - beta
-        if crossing_correction:
-            log_surv = segment_log_survival(gaps0, gaps1, delta).sum(axis=1)
-            probs = -np.expm1(log_surv)
-        else:
-            probs = ((gaps0 <= 0) | (gaps1 <= 0)).any(axis=1).astype(np.float64)
-        chunks.append(probs)
+        gaps = bridge_batch(pts, x, y, rng, m) - beta
+        log_surv = segment_log_survival(gaps[:, :-1], gaps[:, 1:], delta).sum(axis=1)
+        chunks.append(-np.expm1(log_surv))
         done += m
     return McEstimate.from_samples(np.concatenate(chunks), seed)
 
@@ -156,15 +150,15 @@ def sample_bridge_minima(
     delta: float,
     rng: np.random.Generator,
     barrier: float | None = None,
-    sigma2: float = 1.0,
 ) -> np.ndarray:
     """Exact continuum minima of bridges observed at uniformly spaced grid values.
 
-    values has shape (batch, n). Per segment, conditionally on its endpoint
-    values, the segment minimum has the closed-form law above; inverting it
-    gives an exact draw. With `barrier` set, the draw is additionally
-    conditioned on the whole path staying above the barrier (every grid value
-    must then exceed it). The path minimum is the minimum over segments.
+    values has shape (batch, n); delta is each segment's variance. Per segment,
+    conditionally on its endpoint values, the segment minimum has the
+    closed-form law above; inverting it gives an exact draw. With `barrier`
+    set, the draw is additionally conditioned on the whole path staying above
+    the barrier (every grid value must then exceed it). The path minimum is
+    the minimum over segments.
     """
     vals = np.asarray(values, dtype=np.float64)
     v0 = vals[:, :-1]
@@ -175,12 +169,12 @@ def sample_bridge_minima(
     else:
         if not (vals > barrier).all():
             raise ValueError("conditioning barrier must lie below every grid value")
-        log_f_beta = segment_log_crossing(v0 - barrier, v1 - barrier, delta, sigma2)
+        log_f_beta = segment_log_crossing(v0 - barrier, v1 - barrier, delta)
         f_beta = np.exp(log_f_beta)
         q = f_beta + u * (1.0 - f_beta)
     q = np.clip(q, 1e-300, 1.0)
-    # Invert F(m) = exp(-2 (v0-m)(v1-m) / (sigma2 delta)) at q: a quadratic in m.
-    c = -0.5 * sigma2 * delta * np.log(q)
+    # Invert F(m) = exp(-2 (v0-m)(v1-m) / delta) at q: a quadratic in m.
+    c = -0.5 * delta * np.log(q)
     disc = np.sqrt((v0 - v1) ** 2 + 4.0 * c)
     seg_min = 0.5 * (v0 + v1 - disc)
     return seg_min.min(axis=1)

@@ -10,6 +10,7 @@ round-trips through `parse_config`.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -111,15 +112,17 @@ def _coerce(key: str, kind: str, token: str, problems: list):
     try:
         if kind == "int":
             return int(token, 10)
-        if kind == "real":
-            return float(token)
-        parts = [s for s in token.split(",") if s.strip()]
+        parts = [token] if kind == "real" else [s for s in token.split(",") if s.strip()]
         if not parts:
             raise ValueError("empty list")
-        return [float(s) for s in parts]
+        values = [float(s) for s in parts]
     except ValueError:
         problems.append(f"{key}: cannot read {token!r} as {kind}")
         return None
+    if not all(math.isfinite(v) for v in values):
+        problems.append(f"{key}: {token!r} is not finite")
+        return None
+    return values[0] if kind == "real" else values
 
 
 def format_value(kind: str, value) -> str:

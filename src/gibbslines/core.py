@@ -201,7 +201,6 @@ class ScaledExpHamiltonian(Hamiltonian):
     """Penalty exp(t^(1/3) x); hardens toward a strict ordering wall as t grows."""
 
     t: float
-    cap: float = EXP_SATURATION
 
     def __post_init__(self):
         if not self.t > 0:
@@ -215,20 +214,21 @@ class ScaledExpHamiltonian(Hamiltonian):
         # -inf * 0 never occurs: rate > 0 and gaps of -inf give arg -inf, exp 0.
         # The outer asarray: a 0-d product comes back as a numpy scalar.
         arg = np.asarray(self.rate * np.asarray(gaps, dtype=np.float64))
-        return _capped_exp(arg, self.cap)
+        return _capped_exp(arg, EXP_SATURATION)
 
 
 @dataclass(frozen=True)
 class ExpHamiltonian(ScaledExpHamiltonian):
     """Soft ordering penalty exp(x): the t = 1 case, whose rate is exactly 1.
-    t is pinned, so the only settable field stays cap, positional or not."""
+    t is pinned, so the type has no settable field."""
 
     t: float = field(default=1.0, init=False, repr=False)
 
 
 @dataclass(frozen=True)
 class OrderedHamiltonian(Hamiltonian):
-    """Hard ordering wall: 0 for gap <= 0, +inf for gap > 0."""
+    """Hard ordering wall: 0 for gap <= 0, +inf for gap > 0. Nothing in the package
+    calls `integrand` (see gibbs): it defines H and is a perfbench trace target."""
 
     def integrand(self, gaps):
         gaps = np.asarray(gaps, dtype=np.float64)

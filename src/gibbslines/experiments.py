@@ -285,11 +285,13 @@ class SeparationConfig:
         problems = []
         if not isinstance(self.k, int) or not 1 <= self.k <= DESK_MAX_CURVES:
             problems.append(f"k must be an integer in [1, {DESK_MAX_CURVES}], got {self.k}")
-        if not self.L >= 1.0:
-            problems.append(f"L must be >= 1, got {self.L}")
+        if not 1.0 <= self.L < math.inf:
+            problems.append(f"L must be finite and >= 1, got {self.L}")
         if not 1.0 <= self.t <= DESK_MAX_T:
             problems.append(f"t must lie in [1, {DESK_MAX_T:g}], got {self.t}")
-        if isinstance(self.L, (int, float)) and self.L > 0 and not self.M >= math.sqrt(self.L):
+        if not self.M < math.inf:
+            problems.append(f"M must be finite, got {self.M}")
+        elif 0 < self.L < math.inf and not self.M >= math.sqrt(self.L):
             problems.append(f"M must be >= sqrt(L) = {math.sqrt(self.L):.6g}, got {self.M}")
         if not isinstance(self.n_samples, int) or not 1 <= self.n_samples <= DESK_MAX_SAMPLES:
             problems.append(f"n_samples must be an integer in [1, {DESK_MAX_SAMPLES}], got {self.n_samples}")
@@ -365,14 +367,12 @@ class _SeparationFrame:
 
     def log_weights(self, batch: np.ndarray) -> np.ndarray:
         """Off-window log Boltzmann weight of each staggered sample."""
-        return _log_weight_batch(
-            batch, self.pts, self._upper, self._lower, self.h, self._columns, False
-        )
+        return _log_weight_batch(batch, self.pts, self._upper, self._lower, self.h, self._columns)
 
     def window_log_weights(self, window: np.ndarray) -> np.ndarray:
         """Full-window log Boltzmann weight of each (k, window points) sample."""
         pts, upper, lower, columns = self._win_slice
-        return _log_weight_batch(window, pts, upper, lower, self.h, columns, False)
+        return _log_weight_batch(window, pts, upper, lower, self.h, columns)
 
     def base_batch(self, m: int) -> np.ndarray:
         return np.broadcast_to(self.ext[None, :, None], (m, self.cfg.k, self.grid.n)).copy()
@@ -804,8 +804,8 @@ def run_ordering_experiment(
         problems.append(f"t_list entries must lie in (0, {DESK_MAX_T:g}], got {list(t_list)}")
     elif any(b <= a for a, b in zip(t_list, t_list[1:])):
         problems.append(f"t_list must be strictly increasing, got {list(t_list)}")
-    if not gap > 0:
-        problems.append(f"gap must be positive, got {gap}")
+    if not 0 < gap < math.inf:
+        problems.append(f"gap must be positive and finite, got {gap}")
     if not math.isfinite(rho):
         problems.append(f"rho must be finite, got {rho}")
     if not isinstance(n_samples, int) or not 2 <= n_samples <= DESK_MAX_SAMPLES:
@@ -917,8 +917,8 @@ def run_fluctuation_experiment(
         problems.append(f"d must lie in (0, 1], got {d}")
     if not K_list or not all(K >= 0 and math.isfinite(K) for K in K_list):
         problems.append(f"K_list entries must be finite and nonnegative, got {list(K_list)}")
-    if not boundary_box > 0:
-        problems.append(f"boundary_box must be positive, got {boundary_box}")
+    if not 0 < boundary_box < math.inf:
+        problems.append(f"boundary_box must be positive and finite, got {boundary_box}")
     if not isinstance(n_samples, int) or not 2 <= n_samples <= DESK_MAX_SAMPLES:
         problems.append(f"n_samples must be an integer in [2, {DESK_MAX_SAMPLES}], got {n_samples}")
     problems += _seed_problems(seed)

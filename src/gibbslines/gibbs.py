@@ -17,11 +17,12 @@ H is evaluated only on the pairs and columns that carry weight: a sentinel
 pair (its gap is -inf, and H(-inf) = 0) is never formed, and the unweighted
 window columns of an off-window weight are never evaluated.
 
-For the hard ordering Hamiltonian, estimate_Z and the exact samplers replace
-the grid-level ordering indicator with the exact per-segment non-crossing
-probability of the (gap) bridge between grid points, which removes the
-O(sqrt(spacing)) grid bias exactly as in bridge_analytics. They also take one
-entrance/exit row per draw from a (B, k) spec: B rows cost one Python call.
+The hard wall stands for continuum non-crossing: its one weight is the exact
+probability that bridges through the grid values never cross, free of the grid
+indicator's O(sqrt(spacing)) bias. The heat bath's hard-wall site law, a Gaussian
+truncated to the neighbours, keeps the grid skeleton's law instead.
+estimate_Z and the exact samplers take one entrance/exit row per draw from a
+(B, k) spec: B rows cost one Python call.
 """
 
 from __future__ import annotations
@@ -140,17 +141,17 @@ def _log_weight_batch(
     lower_vals: np.ndarray,
     h: Hamiltonian,
     columns,
-    crossing_correction: bool,
 ) -> np.ndarray:
     """Log Boltzmann weight of each ensemble in the batch, shape (size,).
 
-    H is evaluated only on the weighted pairs and on the columns that carry
-    weight; the pair rows are summed in order and each column range gets its
-    own trapezoid, so the result is bitwise that of the full-stack formula.
+    The hard wall takes its non-crossing log probability. Any other H is
+    evaluated only on the weighted pairs and on the columns that carry weight;
+    the pair rows are summed in order and each column range gets its own
+    trapezoid, so the result is bitwise that of the full-stack formula.
     """
     size = batch.shape[0]
     pairs = _weighted_pairs(batch, upper_vals, lower_vals)
-    if isinstance(h, OrderedHamiltonian) and crossing_correction:
+    if isinstance(h, OrderedHamiltonian):
         return _log_ordered_survival_batch(pairs, pts, columns, size)
     total = np.zeros(size)
     if not pairs:
@@ -171,32 +172,29 @@ def _log_weight_batch(
 
 def _log_ordered_survival_batch(pairs, pts, columns, size: int) -> np.ndarray:
     """Sum of exact per-segment non-crossing log probabilities for every
-    weighted pair (see _weighted_pairs for their diffusion parameters)."""
+    weighted pair; a segment's variance is its length times the pair's sigma2."""
     dt = np.diff(pts)
     out = np.zeros(size)
     for above, below, sigma2 in pairs:
         for j0, j1 in columns:
             d = above[..., j0 : j1 + 1] - below[..., j0 : j1 + 1]  # positive where ordered
-            seg = segment_log_survival(d[:, :-1], d[:, 1:], 1.0, sigma2 * dt[j0:j1])
+            seg = segment_log_survival(d[:, :-1], d[:, 1:], sigma2 * dt[j0:j1])
             out += seg.sum(axis=1)
     return out
 
 
-def log_boltzmann_weight(
-    ens: LineEnsemble, spec: ConditionalSpec, crossing_correction: bool = False
-) -> float:
+def log_boltzmann_weight(ens: LineEnsemble, spec: ConditionalSpec) -> float:
     """Log weight of one ensemble; 0 means weight 1, -inf means forbidden.
 
-    The ensemble must hold exactly the block curves on `spec.interval`
-    (its grid spans that interval, boundary curves live on the same grid).
+    It is the one weight that estimate_Z averages. The ensemble must hold
+    exactly the block curves on `spec.interval` (its grid spans that
+    interval, boundary curves live on the same grid).
     """
     if ens.k != spec.n_curves:
         raise LengthMismatch(f"ensemble has {ens.k} curves, spec wants {spec.n_curves}")
     ia, ib, pts, upper, lower, columns = _prepared_slice(spec, ens.grid)
-    lw = _log_weight_batch(
-        ens.curves[None, :, ia : ib + 1], pts, upper, lower,
-        spec.hamiltonian, columns, crossing_correction,
-    )
+    block = ens.curves[None, :, ia : ib + 1]
+    lw = _log_weight_batch(block, pts, upper, lower, spec.hamiltonian, columns)
     return float(lw[0])
 
 
@@ -228,7 +226,7 @@ def estimate_Z(spec: ConditionalSpec, grid: Grid, n: int, seed: int) -> McEstima
         m = min(chunk, flat.size - e0)
         rows = np.arange(e0, e0 + m) // n  # entrance/exit row of each candidate
         cand = free_ensemble_batch(pts, *((x, y) if x.ndim == 1 else (x[rows], y[rows])), rng, m)
-        flat[e0 : e0 + m] = _log_weight_batch(cand, pts, upper, lower, spec.hamiltonian, columns, True)
+        flat[e0 : e0 + m] = _log_weight_batch(cand, pts, upper, lower, spec.hamiltonian, columns)
     return McEstimate.from_samples(np.exp(lw), seed)
 
 
@@ -264,7 +262,7 @@ def sample_conditional_batch(
         c = min(-(-CANDIDATE_BATCH // p), budget - spent)
         rows = np.repeat(pending, c)  # entrance/exit row of each candidate
         cand = free_ensemble_batch(pts, *((x, y) if x.ndim == 1 else (x[rows], y[rows])), rng, p * c)
-        lw = _log_weight_batch(cand, pts, upper, lower, spec.hamiltonian, columns, True)
+        lw = _log_weight_batch(cand, pts, upper, lower, spec.hamiltonian, columns)
         accepted = (np.log(rng.random(p * c)) <= lw).reshape(p, c)
         hit = accepted.any(axis=1)
         first = accepted[hit].argmax(axis=1)
@@ -681,7 +679,8 @@ def heat_bath_scan_batch(
     """One systematic single-site scan of a (B, k, n) batch; u has shape (B, k, n-2).
 
     Site order: curves top to bottom, interior grid points left to right.
-    Endpoint values stay pinned. Returns a new array.
+    Endpoint values stay pinned. Returns a new array. Under the hard wall the
+    scan keeps the grid skeleton's law, not the exact samplers' continuum law.
     """
     return _scan([curves], [outer], grid, h, u)[0]
 
@@ -708,7 +707,8 @@ def coupled_scan_batch(
 
     For convex nondecreasing interactions the site conditionals are ordered by
     likelihood ratio in every conditioning value, so sharing the uniform
-    through the inverse CDF preserves lo <= hi pointwise, exactly.
+    through the inverse CDF preserves lo <= hi pointwise, exactly. Under the
+    hard wall both states target the grid skeleton's law.
     """
     return _scan([lo_curves, hi_curves], [outer_lo, outer_hi], grid, h, u)
 
@@ -726,9 +726,10 @@ def monotone_coupled_sweep(
     Preconditions: lo <= hi pointwise (including boundary data) and the
     Hamiltonian convex nondecreasing; the hard ordering wall is allowed when
     both states are strictly ordered, where its site conditionals are
-    truncated Gaussians, drawn exactly by inverse CDF. Marginally each state
-    evolves by the plain heat-bath kernel; jointly the order is preserved at
-    every site.
+    truncated Gaussians, drawn exactly by inverse CDF; they target the grid
+    skeleton's law, not the exact samplers' continuum law. Marginally each
+    state evolves by the plain heat-bath kernel; jointly the order is
+    preserved at every site.
     """
     if lo.grid != hi.grid:
         raise GridMismatch("coupled states must share a grid")

@@ -94,9 +94,9 @@ class TestBarrierMc:
         a, b, x, y, beta = 0.0, 1.0, 0.4, 0.4, 0.0
         exact = bridge_min_tail(a, b, x, y, beta)
         corrected = barrier_tail_mc(a, b, x, y, beta, n=60000, seed=5, grid_n=5)
-        naive = barrier_tail_mc(
-            a, b, x, y, beta, n=60000, seed=5, grid_n=5, crossing_correction=False
-        )
+        # the naive reference: does the same stream's grid skeleton touch beta?
+        paths = bridge_batch(np.linspace(a, b, 5), x, y, np.random.default_rng(5), 60000)
+        naive = McEstimate.from_samples((paths <= beta).any(axis=1).astype(np.float64), 5)
         assert abs(corrected.mean - exact) < 4 * corrected.stderr
         assert naive.mean < exact - 6 * naive.stderr
 

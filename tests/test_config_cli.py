@@ -102,6 +102,14 @@ PARAMETER_KINDS = {
     "z_lowerbound": "int real real real int",
 }
 
+# every (experiment, parameter) pair of kind real or real_list
+REAL_KEYS = [
+    (name, key)
+    for name, entry in sorted(REGISTRY.items())
+    for key, default in entry.defaults.items()
+    if kind_of(default) != "int"
+]
+
 
 class TestParseConfig:
     def test_default_configs_round_trip(self):
@@ -166,6 +174,18 @@ class TestParseConfig:
     def test_emit_unknown_experiment(self):
         with pytest.raises(ValidationError):
             emit_default_config("quantum")
+
+    @pytest.mark.parametrize("name, key", REAL_KEYS)
+    @pytest.mark.parametrize("token", ["inf", "-inf", "nan"])
+    def test_non_finite_reals_rejected(self, name, key, token):
+        with pytest.raises(ValidationError) as err:
+            parse_config(f"experiment = {name}\nseed = 0\n{key} = {token}\n")
+        assert err.value.problems == [f"{key}: {token!r} is not finite"]
+
+    def test_non_finite_list_entry_rejected(self):
+        with pytest.raises(ValidationError) as err:
+            parse_config("experiment = fluctuation\nseed = 0\nK_list = 1, inf, 3\n")
+        assert err.value.problems == ["K_list: '1, inf, 3' is not finite"]
 
 
 class TestEmittedText:
@@ -304,6 +324,13 @@ class TestCli:
         cfg = _write(tmp_path, "experiment = separation\nseed = 1\nM = 0.5\nL = 1\n")
         assert main(["run", cfg]) == 2
         assert "sqrt" in capsys.readouterr().err
+
+    def test_non_finite_value_is_exit_2(self, tmp_path, capsys):
+        out = tmp_path / "never.jsonl"
+        cfg = _write(tmp_path, "experiment = separation\nseed = 0\nL = inf\nM = inf\n")
+        assert main(["run", cfg, "--output", str(out)]) == 2
+        assert "L: 'inf' is not finite; M: 'inf' is not finite" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_unknown_experiment_is_exit_2(self, tmp_path):
         cfg = _write(tmp_path, "experiment = quantum\nseed = 1\n")

@@ -117,11 +117,11 @@ class TestHamiltonians:
         assert np.array_equal(ExpHamiltonian().integrand(xs), plain)
 
     def test_exp_fields(self):
-        # t is pinned at 1; a positional argument still sets the cap
-        assert ExpHamiltonian(700.0) == ExpHamiltonian(cap=700.0)
-        assert ExpHamiltonian(700.0).t == 1.0
-        with pytest.raises(TypeError):
-            ExpHamiltonian(t=2.0)
+        # t is pinned at 1 and nothing else is settable
+        assert ExpHamiltonian().t == 1.0
+        for args, kwargs in (((), {"t": 2.0}), ((700.0,), {})):
+            with pytest.raises(TypeError):
+                ExpHamiltonian(*args, **kwargs)
 
     @pytest.mark.parametrize("x,expected", [(-1.0, 0.0), (0.0, 0.0), (1e-9, math.inf)])
     def test_ordered_cases(self, x, expected):

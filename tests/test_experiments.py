@@ -390,6 +390,26 @@ def test_negative_seed_is_a_validation_error(run):
         run(-1)
 
 
+@pytest.mark.parametrize(
+    "run, key",
+    [
+        (lambda v: SeparationConfig(k=1, L=v, t=10.0, M=1.0, n_samples=10, seed=0), "L"),
+        (lambda v: SeparationConfig(k=1, L=1.0, t=10.0, M=v, n_samples=10, seed=0), "M"),
+        (lambda v: run_ordering_experiment(k=1, t_list=[1.0], gap=v, rho=0.25, n_samples=10, seed=0), "gap"),
+        (
+            lambda v: run_fluctuation_experiment(d=0.25, K_list=[1.0], boundary_box=v, n_samples=10, seed=0),
+            "boundary_box",
+        ),
+    ],
+    ids=["separation_L", "separation_M", "ordering_gap", "fluctuation_boundary_box"],
+)
+@pytest.mark.parametrize("value", [math.inf, math.nan])
+def test_non_finite_geometry_is_a_validation_error(run, key, value):
+    # a non-finite size must fail validation, not the grid builder or a sampler
+    with pytest.raises(ValidationError, match=f"{key} must be .*finite"):
+        run(value)
+
+
 class TestReportAccessors:
     def test_lookup_by_label(self):
         rep = ExperimentReport(

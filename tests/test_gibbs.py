@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import stats
 
-from gibbslines.bridge_analytics import sample_bridge_minima
-from gibbslines.bridge_sampler import bridge_batch, sample_free_ensemble
+from gibbslines.bridge_analytics import sample_bridge_minima, segment_log_survival
+from gibbslines.bridge_sampler import bridge_batch, free_ensemble_batch, sample_free_ensemble
 from gibbslines.core import (
     MINUS_INF,
     PLUS_INF,
@@ -112,7 +112,10 @@ class TestLogWeight:
         bd = BoundaryData(np.array([1.0, -1.0]), np.array([1.0, -1.0]), PLUS_INF, MINUS_INF)
         spec = ConditionalSpec(k1=1, k2=2, interval=(0, 1), boundary=bd,
                                hamiltonian=OrderedHamiltonian())
-        assert log_boltzmann_weight(ordered, spec) == 0.0
+        # the ordered pair's gap bridge (d = 2 at every point, diffusion
+        # parameter 2) must survive each of the 8 segments of length 1/8
+        expected = 8 * math.log1p(-math.exp(-2.0 * 2.0 * 2.0 / (2.0 / 8)))
+        assert log_boltzmann_weight(ordered, spec) == pytest.approx(expected, rel=1e-12)
         assert log_boltzmann_weight(crossing, spec) == -math.inf
 
     def test_weight_never_positive(self):
@@ -154,7 +157,10 @@ class TestLogWeight:
     @pytest.mark.parametrize("window", [None, (0.25, 0.75)])
     def test_matches_full_stack_formula_bitwise(self, h, k, upper_finite, lower_finite, window):
         # the plain formula: stack both boundary rows, H on every pair and
-        # column, rows summed in order, one trapezoid per weighted column range
+        # column, rows summed in order, one trapezoid per weighted column range;
+        # for the hard wall, the segment log survivals of every adjacent row
+        # pair (sigma^2 = 1 against a boundary row, 2 between curves), summed
+        # pair by pair and range by range, sentinel rows included
         m, size = 33, 40
         grid = Grid(0.0, 1.0, m)
         rng = np.random.default_rng(k)
@@ -168,12 +174,21 @@ class TestLogWeight:
             [np.broadcast_to(upper_vals, (size, 1, m)), batch,
              np.broadcast_to(lower_vals, (size, 1, m))], axis=1,
         )
-        integrand = h.integrand(stacked[:, 1:] - stacked[:, :-1]).sum(axis=1)
-        total = np.zeros(size)
-        for j0, j1 in columns:
-            total += np.trapezoid(integrand[:, j0 : j1 + 1], x=pts[j0 : j1 + 1], axis=1)
-        expected = -total
-        got = _log_weight_batch(batch, pts, upper_vals, lower_vals, h, columns, False)
+        if isinstance(h, OrderedHamiltonian):
+            expected = np.zeros(size)
+            for p in range(k + 1):
+                d = stacked[:, p] - stacked[:, p + 1]
+                sigma2 = 1.0 if p in (0, k) else 2.0
+                for j0, j1 in columns:
+                    delta = sigma2 * np.diff(pts[j0 : j1 + 1])
+                    expected += segment_log_survival(d[:, j0:j1], d[:, j0 + 1 : j1 + 1], delta).sum(axis=1)
+        else:
+            integrand = h.integrand(stacked[:, 1:] - stacked[:, :-1]).sum(axis=1)
+            total = np.zeros(size)
+            for j0, j1 in columns:
+                total += np.trapezoid(integrand[:, j0 : j1 + 1], x=pts[j0 : j1 + 1], axis=1)
+            expected = -total
+        got = _log_weight_batch(batch, pts, upper_vals, lower_vals, h, columns)
         assert got.tobytes() == expected.tobytes()
         if upper_finite or lower_finite or k > 1:
             assert np.unique(got).size > 1
@@ -185,7 +200,7 @@ class TestLogWeight:
         weights = []
         for grid, vals in ((fine, paths), (coarse, paths[:, ::2])):
             _, _, pts, upper, lower, columns = _prepared_slice(spec_on(grid), grid)
-            lw = _log_weight_batch(vals[:, None, :], pts, upper, lower, h, columns, False)
+            lw = _log_weight_batch(vals[:, None, :], pts, upper, lower, h, columns)
             weights.append(np.exp(lw))
         z_fine = weights[0].mean()
         gap = (weights[1].mean() - z_fine) / z_fine
@@ -281,6 +296,20 @@ class TestEstimateZ:
         small = estimate_Z(_pinned_rows_spec(grid, d), grid, n=500, seed=2)
         assert np.array_equal(rows.mean, small.mean) and np.array_equal(rows.stderr, small.stderr)
         assert rows.mean[0] == flat.mean
+
+    @pytest.mark.parametrize("h", [ScaledExpHamiltonian(8.0), OrderedHamiltonian()], ids=["t8", "wall"])
+    def test_mean_boltzmann_weight_is_the_estimate(self, h):
+        # one weight: exp(log_boltzmann_weight) over the free ensembles that
+        # estimate_Z draws (200 of them fit in one chunk) averages to its mean
+        grid = Grid(0.0, 1.0, 17)
+        levels = np.array([1.2, 0.4])
+        bd = BoundaryData(levels, levels, PLUS_INF, constant_curve(grid, -0.4))
+        spec = ConditionalSpec(1, 2, (0.0, 1.0), bd, h)
+        est = estimate_Z(spec, grid, n=200, seed=4)
+        cand = free_ensemble_batch(grid.points, levels, levels, np.random.default_rng(4), 200)
+        weights = np.exp([log_boltzmann_weight(LineEnsemble(grid, c), spec) for c in cand])
+        assert weights.mean() == est.mean
+        assert np.unique(weights[weights > 0]).size > 50  # Z: 0.53 at t = 8, 0.31 under the wall
 
 
 class TestSampleConditional:
@@ -592,6 +621,29 @@ class TestHeatBath:
         out = heat_bath_sweep(state, outer, ExpHamiltonian(), np.random.default_rng(19))
         assert out.curves[0, 0] == 0.7 and out.curves[0, -1] == -0.2
         assert not np.array_equal(out.curves[0, 1:-1], vals[0, 1:-1])
+
+    def test_hard_wall_scans_keep_the_grid_skeleton_law(self):
+        # Each hard-wall site draws a Gaussian truncated to its neighbours, so
+        # the scan leaves the grid skeleton's law invariant: free bridges above
+        # the floor at the grid points. That is not the exact samplers'
+        # continuum law: from 2e4 sample_conditional_batch draws (midpoint mean
+        # 0.819), 50 scans move the midpoint mean to 0.659.
+        grid = Grid(0.0, 1.0, 9)
+        outer = BoundaryData(np.array([0.3]), np.array([0.3]), PLUS_INF, constant_curve(grid, 0.0))
+        n = 10_000
+
+        def skeleton_draws(seed):
+            paths = bridge_batch(grid.points, 0.3, 0.3, np.random.default_rng(seed), 30_000)
+            kept = paths[(paths > 0.0).all(axis=1)]  # acceptance about 0.41
+            assert kept.shape[0] >= n
+            return kept[:n, None, :]
+
+        swept = skeleton_draws(41)
+        rng = np.random.default_rng(42)
+        for _ in range(20):
+            swept = heat_bath_scan_batch(swept, grid, outer, OrderedHamiltonian(), rng.random((n, 1, 7)))
+        res = stats.ks_2samp(swept[:, 0, 4], skeleton_draws(43)[:, 0, 4])
+        assert res.pvalue > 1e-3
 
     def test_hard_wall_respected(self):
         grid = Grid(0.0, 1.0, 17)
