@@ -1035,12 +1035,14 @@ def run_fluctuation_experiment(
 # high-excursion construction
 
 
-def _excursion_problems(L, M, interval, n_samples, seed) -> list[str]:
+def _excursion_problems(L, M, lam, interval, n_samples, seed) -> list[str]:
     problems = []
     if not L > 0:
         problems.append(f"L must be positive, got {L}")
-    if not M > 0:
-        problems.append(f"M must be positive, got {M}")
+    if not (M > 0 and math.isfinite(M)):
+        problems.append(f"M must be positive and finite, got {M}")
+    if not math.isfinite(lam):
+        problems.append(f"lam must be finite, got {lam}")
     ell, r = interval
     if not (math.isfinite(ell) and math.isfinite(r)) or not r > ell:
         problems.append(f"interval must be finite with r > l, got {interval}")
@@ -1130,12 +1132,13 @@ def estimate_excursion_probability(
     """Probability that a bridge from x to y over `interval` runs above
     lam * M on the inner interval while staying below (lam + 4) M throughout.
 
-    Only the interval geometry is validated here, so degenerate regimes
-    (a floor below the endpoints, a far-away ceiling) remain reachable for
-    sanity checks; the experiment runner enforces the full preconditions.
+    Only the interval geometry, a finite M > 0 and a finite lam are validated
+    here, so degenerate regimes (a floor below the endpoints, a far-away
+    ceiling) remain reachable for sanity checks; the experiment runner
+    enforces the full preconditions.
     """
     _check_threads(threads)
-    problems = _excursion_problems(L, M, interval, n_samples, seed)
+    problems = _excursion_problems(L, M, lam, interval, n_samples, seed)
     if problems:
         raise ValidationError(problems)
     vals, _ = _run_shards(
@@ -1167,8 +1170,8 @@ def run_excursion_experiment(
     decay rate D in log P >= -D M^2 / L.
     """
     _check_threads(threads)
-    problems = _excursion_problems(L, M, interval, n_samples, seed)
-    if not lam >= 4.0:
+    problems = _excursion_problems(L, M, lam, interval, n_samples, seed)
+    if math.isfinite(lam) and not lam >= 4.0:
         problems.append(f"lam must be at least 4, got {lam}")
     if M > 0 and not (abs(x) <= M and abs(y) <= M):
         problems.append(f"|x| and |y| must be at most M = {M}, got x={x}, y={y}")

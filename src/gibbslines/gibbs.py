@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 from scipy.special import log_ndtr, ndtri_exp
@@ -420,67 +420,123 @@ def _site_gaussian(pts: np.ndarray, j: int):
     return w1, sigma, trap
 
 
-# The site kernels below work in place on (B, m) lattice arrays, in the same
-# operation order as the plain formulas, so results are bit-for-bit the same:
-# fresh temporaries of this size cost more in page faults than the arithmetic.
+# The soft site kernels run once per site for all S states: mu, above and
+# below are (S, B, 1) against one (B, m) lattice per row, shared by the states.
+# They write into _SiteLattice work arrays that _scan allocates once per scan,
+# (S, B, COARSE_POINTS) and (S, B, LATTICE_POINTS), and keep the plain
+# formulas' operation order, so every draw is bit-for-bit that of one call per
+# state on fresh arrays (tests/test_gibbs.py::
+# TestStackedScanMatchesPerStateReference). Fresh arrays of this size pass
+# glibc's mmap threshold and fault their pages in on every call: a coupled scan
+# of 250 chains on 17 points took about 44,000 minor faults that way, and
+# about 130 on these buffers. Arrays whose lifetimes do not overlap share
+# storage: the coarse pass's arrays are views into the fine pass's, the two
+# penalty scratches into the cells and slopes, and the fine CDF into the log
+# density.
+_COARSE_BASE = np.linspace(0.0, 1.0, COARSE_POINTS)
+_FINE_BASE = np.linspace(0.0, 1.0, LATTICE_POINTS)
 
 
-def _site_log_density(vs, mu, sigma, above, below, trap, h: Hamiltonian):
-    # vs (B, m); mu/above/below (B, 1); -0.5 ((vs - mu) / sigma)^2 - trap * pen
-    logd = vs - mu
+class _SiteLattice(NamedTuple):
+    """Work arrays of one lattice pass over m points, S states and B rows."""
+
+    vs: np.ndarray  # (B, m) lattice values
+    logd: np.ndarray  # (S, B, m) log density, then density / peak, then the CDF
+    gap_up: np.ndarray  # (S, B, m) penalty scratch; shares storage with cells
+    gap_low: np.ndarray  # (S, B, m) penalty scratch; shares storage with slopes
+    cells: np.ndarray  # (S, B, m-1)
+    slopes: np.ndarray  # (S, B, m-1)
+    mask: np.ndarray  # (S, B, m) bool: kept nodes, then CDF below target
+    steep: np.ndarray  # (S, B, m-1) bool; shares storage with mask
+    flat: np.ndarray  # (S, B, m-1) bool
+
+
+def _site_buffers(states: int, rows: int) -> tuple:
+    """(coarse, fine) _SiteLattice work arrays, all views into one storage."""
+    size = states * rows * LATTICE_POINTS
+    real = np.empty((3, size))
+    flags = np.empty((2, size), dtype=bool)
+    nodes = np.empty(rows * LATTICE_POINTS)
+
+    def views(m):
+        full, cut = (states, rows, m), (states, rows, m - 1)
+        n_full, n_cut = states * rows * m, states * rows * (m - 1)
+        return _SiteLattice(
+            vs=nodes[: rows * m].reshape(rows, m),
+            logd=real[0, :n_full].reshape(full),
+            gap_up=real[1, :n_full].reshape(full),
+            gap_low=real[2, :n_full].reshape(full),
+            cells=real[1, :n_cut].reshape(cut),
+            slopes=real[2, :n_cut].reshape(cut),
+            mask=flags[0, :n_full].reshape(full),
+            steep=flags[0, :n_cut].reshape(cut),
+            flat=flags[1, :n_cut].reshape(cut),
+        )
+
+    return views(COARSE_POINTS), views(LATTICE_POINTS)
+
+
+def _site_log_density(mu, sigma, above, below, trap, h: Hamiltonian, w: _SiteLattice):
+    """-0.5 ((vs - mu) / sigma)^2 - trap * pen into w.logd (S, B, m), from w.vs."""
+    logd = np.subtract(w.vs, mu, out=w.logd)
     logd /= sigma
     np.square(logd, out=logd)
     logd *= -0.5
-    # a sentinel neighbour (+inf above, -inf below) adds H(-inf) = 0: skip it
+    # a sentinel neighbour (+inf above, -inf below) adds trap * H(-inf) = +0.0,
+    # which leaves logd as it is: skip the side when every state's row is one
     pen = None
     if not np.isposinf(above).all():
-        pen = h.integrand(vs - above)
+        pen = h.integrand(np.subtract(w.vs, above, out=w.gap_up))
     if not np.isneginf(below).all():
-        lower = h.integrand(below - vs)
-        pen = lower if pen is None else pen + lower
+        lower = h.integrand(np.subtract(below, w.vs, out=w.gap_low))
+        pen = lower if pen is None else np.add(pen, lower, out=w.gap_up)
     if pen is not None:
-        logd -= trap * pen
+        logd -= np.multiply(trap, pen, out=w.gap_up)
     return logd
 
 
-def _log_linear_cells(logd):
+def _log_linear_cells(w: _SiteLattice):
     """Cell masses of exp(logd) interpolated log-linearly between lattice points.
 
-    Works in place on logd (B, m), which must sit on a uniform lattice per row,
-    and leaves it holding density / peak. Returns (cells, slopes), both
-    (B, m-1): each cell's mass over its width, (d1 - d0) / (l1 - l0), or
-    (d0 + d1) / 2 where the log step l1 - l0 is flatter than LOG_LINEAR_MIN,
-    and the log steps themselves. None when some row has no finite log density.
+    Works in place on w.logd (S, B, m), which must sit on a uniform lattice per
+    row, and leaves it holding density / peak. Fills and returns (w.cells,
+    w.slopes), both (S, B, m-1): each cell's mass over its width,
+    (d1 - d0) / (l1 - l0), or (d0 + d1) / 2 where the log step l1 - l0 is
+    flatter than LOG_LINEAR_MIN, and the log steps themselves. None when some
+    row has no finite log density.
     """
-    peak = logd.max(axis=1, keepdims=True)
+    logd = w.logd
+    peak = logd.max(axis=2, keepdims=True)
     if not np.isfinite(peak).all():
         return None
     logd -= peak
     np.maximum(logd, LOG_FLOOR, out=logd)
-    slopes = logd[:, 1:] - logd[:, :-1]
+    slopes = np.subtract(logd[..., 1:], logd[..., :-1], out=w.slopes)
     d = np.exp(logd, out=logd)
-    cells = d[:, 1:] - d[:, :-1]
-    steep = slopes >= LOG_LINEAR_MIN
-    steep |= slopes <= -LOG_LINEAR_MIN
+    cells = np.subtract(d[..., 1:], d[..., :-1], out=w.cells)
+    steep = np.greater_equal(slopes, LOG_LINEAR_MIN, out=w.steep)
+    steep |= np.less_equal(slopes, -LOG_LINEAR_MIN, out=w.flat)
     np.divide(cells, slopes, out=cells, where=steep)
     if not steep.all():
-        flat = ~steep
-        cells[flat] = 0.5 * (d[:, 1:][flat] + d[:, :-1][flat])
+        flat = np.logical_not(steep, out=w.flat)
+        cells[flat] = 0.5 * (d[..., 1:][flat] + d[..., :-1][flat])
     return cells, slopes
 
 
-def _invert_log_linear(vs, cells, slopes, u):
-    """Exact inverse at u (B,) of the CDF of _log_linear_cells; nondecreasing in u."""
-    cdf = np.zeros(vs.shape)
-    np.cumsum(cells, axis=1, out=cdf[:, 1:])
-    target = u * cdf[:, -1]
-    idx = (cdf < target[:, None]).sum(axis=1)
-    idx = np.clip(idx, 1, cdf.shape[1] - 1)
-    rows = np.arange(cdf.shape[0])
-    c0 = cdf[rows, idx - 1]
-    c1 = cdf[rows, idx]
-    v0 = vs[rows, idx - 1]
-    x = slopes[rows, idx - 1]
+def _invert_log_linear(w: _SiteLattice, u):
+    """Exact inverse at u (B, 1) of each state's CDF of _log_linear_cells, as
+    (S, B, 1); nondecreasing in u. The CDF overwrites w.logd."""
+    cdf = w.logd
+    cdf[..., 0] = 0.0
+    np.cumsum(w.cells, axis=2, out=cdf[..., 1:])
+    target = u * cdf[..., -1:]
+    idx = np.less(cdf, target, out=w.mask).sum(axis=2, keepdims=True)
+    idx = np.clip(idx, 1, cdf.shape[2] - 1)
+    c0 = np.take_along_axis(cdf, idx - 1, axis=2)
+    c1 = np.take_along_axis(cdf, idx, axis=2)
+    v0 = np.take_along_axis(w.vs[None], idx - 1, axis=2)
+    v1 = np.take_along_axis(w.vs[None], idx, axis=2)
+    x = np.take_along_axis(w.slopes, idx - 1, axis=2)
     q = np.where(c1 > c0, (target - c0) / np.maximum(c1 - c0, 1e-300), 0.0)
     q = np.clip(q, 0.0, 1.0)
     # the cell fraction s below the draw solves q = expm1(s x) / expm1(x); for
@@ -492,48 +548,35 @@ def _invert_log_linear(vs, cells, slopes, u):
         s = np.log1p(q * np.expm1(x)) / x
     s = np.where(x < 0, s, q)  # a flat cell is linear in q
     s = np.where(up, 1.0 - s, s)
-    return v0 + np.clip(s, 0.0, 1.0) * (vs[rows, idx] - v0)
+    return v0 + np.clip(s, 0.0, 1.0) * (v1 - v0)
 
 
-def _lattice(lo, hi, base):
-    vs = (hi - lo)[:, None] * base[None, :]
-    vs += lo[:, None]
-    return vs
+def _lattice(lo, hi, base, out):
+    """lo + (hi - lo) * base into out (B, m), for lo and hi (B, 1)."""
+    np.multiply(hi - lo, base, out=out)
+    out += lo
+    return out
 
 
-def _lattice_draws(mu_list, sigma, above_list, below_list, trap, h, u):
-    """Inverse-CDF draws of soft-penalty site laws on one shared lattice."""
-    lo = np.minimum.reduce(mu_list) - LATTICE_HALF_WIDTH * sigma
-    hi = np.maximum.reduce(mu_list) + LATTICE_HALF_WIDTH * sigma
+def _lattice_draws(mu, sigma, above, below, trap, h, u, coarse: _SiteLattice, fine: _SiteLattice):
+    """Inverse-CDF draws (S, B, 1) of soft-penalty site laws on one shared lattice."""
+    lo = mu.min(axis=0) - LATTICE_HALF_WIDTH * sigma
+    hi = mu.max(axis=0) + LATTICE_HALF_WIDTH * sigma
     # a steep penalty pushes the density off the free mean: cover the neighbours
-    for above in above_list:
-        fin = np.isfinite(above)
-        lo = np.where(fin, np.minimum(lo, np.where(fin, above, lo) - 2 * sigma), lo)
-    for below in below_list:
-        fin = np.isfinite(below)
-        hi = np.where(fin, np.maximum(hi, np.where(fin, below, hi) + 2 * sigma), hi)
-    states = list(zip(mu_list, above_list, below_list))
-
-    def log_densities(vs):
-        return [
-            _site_log_density(vs, mu[:, None], sigma, ab[:, None], be[:, None], trap, h)
-            for mu, ab, be in states
-        ]
-
-    coarse = np.linspace(0.0, 1.0, COARSE_POINTS)
+    lo = np.minimum(lo, np.where(np.isfinite(above), above - 2 * sigma, np.inf).min(axis=0))
+    hi = np.maximum(hi, np.where(np.isfinite(below), below + 2 * sigma, -np.inf).max(axis=0))
     for _ in range(MAX_WIDEN):
-        log_dens = log_densities(_lattice(lo, hi, coarse))
-        fits = [_log_linear_cells(logd) for logd in log_dens]
-        if any(f is None for f in fits):
+        _lattice(lo, hi, _COARSE_BASE, coarse.vs)
+        _site_log_density(mu, sigma, above, below, trap, h, coarse)
+        fit = _log_linear_cells(coarse)
+        if fit is None:
             width = hi - lo
             lo = lo - 0.5 * width
             hi = hi + 0.5 * width
             continue
-        bad = np.zeros(lo.shape[0], dtype=bool)
-        for cells, _ in fits:
-            tail = TAIL_MASS * cells.sum(axis=1)
-            bad |= cells[:, 0] > tail
-            bad |= cells[:, -1] > tail
+        cells = fit[0]
+        tail = TAIL_MASS * cells.sum(axis=2, keepdims=True)
+        bad = ((cells[..., :1] > tail) | (cells[..., -1:] > tail)).any(axis=0)
         if not bad.any():
             break
         span = hi - lo
@@ -541,23 +584,18 @@ def _lattice_draws(mu_list, sigma, above_list, below_list, trap, h, u):
         hi = np.where(bad, hi + 0.5 * span, hi)
     else:
         raise OrderViolationInput("site density never fit on the value lattice")
-    # log_dens now hold density / peak; log-concavity makes each kept node
-    # set an interval, so its first and last node bound it
-    first = COARSE_POINTS - 1
-    last = 0
-    for dens in log_dens:
-        keep = dens >= KEEP_DENSITY
-        first = np.minimum(first, keep.argmax(axis=1) - 1)
-        last = np.maximum(last, COARSE_POINTS - keep[:, ::-1].argmax(axis=1))
-    first = np.maximum(first, 0)
-    last = np.minimum(last, COARSE_POINTS - 1)
+    # coarse.logd now holds density / peak; log-concavity makes each state's
+    # kept nodes an interval, so its first and last node bound it
+    keep = np.greater_equal(coarse.logd, KEEP_DENSITY, out=coarse.mask)
+    first = np.maximum(keep.argmax(axis=2, keepdims=True).min(axis=0) - 1, 0)
+    last = np.minimum((COARSE_POINTS - keep[..., ::-1].argmax(axis=2, keepdims=True)).max(axis=0),
+                      COARSE_POINTS - 1)
     span = hi - lo
-    vs = _lattice(span * coarse[first] + lo, span * coarse[last] + lo,
-                  np.linspace(0.0, 1.0, LATTICE_POINTS))
-    fits = [_log_linear_cells(logd) for logd in log_densities(vs)]
-    if any(f is None for f in fits):
+    _lattice(span * _COARSE_BASE[first] + lo, span * _COARSE_BASE[last] + lo, _FINE_BASE, fine.vs)
+    _site_log_density(mu, sigma, above, below, trap, h, fine)
+    if _log_linear_cells(fine) is None:
         raise OrderViolationInput("site density vanished on the value lattice")
-    return [_invert_log_linear(vs, cells, slopes, u) for cells, slopes in fits]
+    return _invert_log_linear(fine, u)
 
 
 def _end_offset(share, e, step, log_mass, width):
@@ -615,24 +653,22 @@ def _truncated_gaussian(mu, sigma, lo, hi, u):
     return np.clip(v, lo, hi), log_mass
 
 
-def _site_draw(mu_list, sigma, above_list, below_list, trap, h, u):
-    """Inverse-CDF site draws for one or two states from one shared uniform.
+def _site_draw(mu, sigma, above, below, trap, h, u, work):
+    """Inverse-CDF site draws (S, B, 1) of S states from one shared uniform.
 
-    mu_list/above_list/below_list hold (B,) arrays, one per state. The hard
-    wall draws each state's truncated Gaussian exactly and builds no lattice;
+    mu, above and below are (S, B, 1) and u is (B, 1); work is
+    _site_buffers(S, B), the soft kernels' work arrays. The hard wall draws
+    every state's truncated Gaussian exactly in one call and builds no lattice;
     any other Hamiltonian is inverted on the short log-linear lattice described
-    above LATTICE_POINTS. Each draw is nondecreasing in its mean, its
-    neighbours and u, and on the shared lattice the states' densities keep
-    their likelihood-ratio order, so a pair ordered in its inputs stays
-    ordered; the final max only absorbs ulp-level rounding.
+    above LATTICE_POINTS, one call for all states. Each draw is nondecreasing
+    in its mean, its neighbours and u, and on the shared lattice the states'
+    densities keep their likelihood-ratio order, so a pair ordered in its
+    inputs stays ordered; the final max only absorbs ulp-level rounding.
     """
     if isinstance(h, OrderedHamiltonian):
-        draws = [
-            _truncated_gaussian(mu, sigma, be, ab, u)[0]
-            for mu, ab, be in zip(mu_list, above_list, below_list)
-        ]
+        draws = _truncated_gaussian(mu, sigma, below, above, u)[0]
     else:
-        draws = _lattice_draws(mu_list, sigma, above_list, below_list, trap, h, u)
+        draws = _lattice_draws(mu, sigma, above, below, trap, h, u, *work)
     if len(draws) == 2:
         draws[1] = np.maximum(draws[1], draws[0])
     return draws
@@ -648,25 +684,30 @@ def _scan(states, outers, grid: Grid, h: Hamiltonian, u: np.ndarray) -> tuple:
     Each state has its own outer boundary data, and all of them are driven by
     the same uniforms u of shape (B, k, n-2), so S = 1 is the plain chain and
     S = 2 the monotone coupling. Site order: curves top to bottom, interior
-    grid points left to right. Endpoint values stay pinned. Returns new arrays.
+    grid points left to right; each site is one _site_draw call for all S
+    states, on work arrays allocated once here. Endpoint values stay pinned.
+    Returns new arrays.
     """
-    k, n = states[0].shape[1:]
+    b, k, n = states[0].shape
+    if any(s.shape != (b, k, n) for s in states) or u.shape != (b, k, n - 2):
+        shapes = ", ".join(str(s.shape) for s in states)
+        raise LengthMismatch(f"scan needs states of one (B, k, n) shape and u of shape (B, k, n-2); got {shapes} and u {u.shape}")
     pts = grid.points
-    # row 0 holds the upper boundary and row k + 1 the lower one
-    stacks = []
-    for s, o in zip(states, outers):
-        up, low = (np.broadcast_to(_boundary_row(b, grid), (s.shape[0], 1, n)) for b in (o.upper, o.lower))
-        stacks.append(np.concatenate([up, s, low], axis=1))
+    # (S, B, k + 2, n): row 0 holds the upper boundary and row k + 1 the lower one
+    st = np.empty((len(states), b, k + 2, n))
+    for s, state, o in zip(st, states, outers):
+        s[:, 0] = _boundary_row(o.upper, grid)
+        s[:, 1:-1] = state
+        s[:, -1] = _boundary_row(o.lower, grid)
+    work = _site_buffers(len(states), b)
     for i in range(1, k + 1):
         for j in range(1, n - 1):
             w1, sigma, trap = _site_gaussian(pts, j)
-            mus = [(1.0 - w1) * st[:, i, j - 1] + w1 * st[:, i, j + 1] for st in stacks]
-            above = [st[:, i - 1, j] for st in stacks]
-            below = [st[:, i + 1, j] for st in stacks]
-            draws = _site_draw(mus, sigma, above, below, trap, h, u[:, i - 1, j - 1])
-            for st, v in zip(stacks, draws):
-                st[:, i, j] = v
-    return tuple(st[:, 1:-1].copy() for st in stacks)
+            mu = (1.0 - w1) * st[:, :, i, j - 1, None] + w1 * st[:, :, i, j + 1, None]
+            above = st[:, :, i - 1, j, None]
+            below = st[:, :, i + 1, j, None]
+            st[:, :, i, j, None] = _site_draw(mu, sigma, above, below, trap, h, u[:, i - 1, j - 1, None], work)
+    return tuple(s[:, 1:-1].copy() for s in st)
 
 
 def heat_bath_scan_batch(

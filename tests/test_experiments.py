@@ -410,6 +410,19 @@ def test_non_finite_geometry_is_a_validation_error(run, key, value):
         run(value)
 
 
+@pytest.mark.parametrize(
+    "run", [run_excursion_experiment, estimate_excursion_probability], ids=["excursion", "excursion_probability"]
+)
+@pytest.mark.parametrize("key", ["lam", "M"])
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+def test_non_finite_excursion_level_is_a_validation_error(run, key, value):
+    # a non-finite level must fail validation, not the proposal band's sampler
+    params = dict(L=1.0, M=1.0, lam=4.0, x=0.0, y=0.0, interval=(0.0, 4.0), n_samples=10, seed=0)
+    params[key] = value
+    with pytest.raises(ValidationError, match=f"{key} must be .*finite"):
+        run(**params)
+
+
 class TestReportAccessors:
     def test_lookup_by_label(self):
         rep = ExperimentReport(

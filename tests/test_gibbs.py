@@ -25,15 +25,25 @@ from gibbslines.errors import (
     OrderViolationInput,
     RejectionBudgetExhausted,
 )
+from gibbslines import gibbs
 from gibbslines.gibbs import (
+    COARSE_POINTS,
+    KEEP_DENSITY,
+    LATTICE_HALF_WIDTH,
+    LATTICE_POINTS,
     LOG_FLOOR,
     LOG_LINEAR_MIN,
+    MAX_WIDEN,
+    TAIL_MASS,
     ConditionalSpec,
+    _boundary_row,
     _lattice_draws,
     _log_linear_cells,
     _log_weight_batch,
     _prepared_slice,
+    _site_buffers,
     _site_draw,
+    _site_gaussian,
     _site_log_density,
     _truncated_gaussian,
     coupled_scan_batch,
@@ -567,30 +577,37 @@ class TestHeatBath:
         "h", [ExpHamiltonian(), ScaledExpHamiltonian(100.0), OrderedHamiltonian()]
     )
     def test_site_kernels_match_plain_formulas(self, h):
-        # the in-place kernels keep the plain formulas' operation order, so the
-        # lattice densities and log-linear cell masses must agree bit for bit
+        # the kernels write into work arrays in the plain formulas' operation
+        # order, so the lattice densities and log-linear cell masses must agree
+        # bit for bit, one state at a time and with the four neighbour cases
+        # stacked as four states on one lattice
         rng = np.random.default_rng(21)
         rows = 6
-        vs = np.linspace(-6.0, 6.0, 128) + rng.uniform(-0.01, 0.01, (rows, 1))
+        vs = np.linspace(-6.0, 6.0, LATTICE_POINTS) + rng.uniform(-0.01, 0.01, (rows, 1))
         mu = rng.normal(0.0, 1.0, (rows, 1))
         sigma, trap = 0.3, 0.05
         top, bottom = np.full((rows, 1), np.inf), np.full((rows, 1), -np.inf)
+        singles = []  # (above, below, plain), each with a leading state axis of 1
         for above, below in [(top, bottom), (mu + 1.5, bottom), (top, mu - 1.5), (mu + 1.5, mu - 1.5)]:
             pen = h.integrand(vs - above) + h.integrand(below - vs)
-            plain = -0.5 * ((vs - mu) / sigma) ** 2 - trap * pen
-            logd = _site_log_density(vs, mu, sigma, above, below, trap, h)
+            singles.append((above[None], below[None], (-0.5 * ((vs - mu) / sigma) ** 2 - trap * pen)[None]))
+        stacked = tuple(np.concatenate(parts) for parts in zip(*singles))
+        for above, below, plain in singles + [stacked]:
+            work = _site_buffers(plain.shape[0], rows)[1]
+            work.vs[...] = vs
+            logd = _site_log_density(np.broadcast_to(mu, above.shape), sigma, above, below, trap, h, work)
             assert np.array_equal(logd, plain)
             if isinstance(h, OrderedHamiltonian):
                 continue  # the hard wall draws its truncated Gaussian without a lattice
-            ell = np.maximum(plain - plain.max(axis=1, keepdims=True), LOG_FLOOR)
+            ell = np.maximum(plain - plain.max(axis=2, keepdims=True), LOG_FLOOR)
             d = np.exp(ell)
-            slope = np.diff(ell, axis=1)
+            slope = np.diff(ell, axis=2)
             steep = np.abs(slope) >= LOG_LINEAR_MIN
             with np.errstate(divide="ignore", invalid="ignore"):
-                log_linear = (d[:, 1:] - d[:, :-1]) / slope
-            cells, slopes = _log_linear_cells(logd)
+                log_linear = (d[..., 1:] - d[..., :-1]) / slope
+            cells, slopes = _log_linear_cells(work)
             assert np.array_equal(slopes, slope)
-            assert np.array_equal(cells, np.where(steep, log_linear, 0.5 * (d[:, 1:] + d[:, :-1])))
+            assert np.array_equal(cells, np.where(steep, log_linear, 0.5 * (d[..., 1:] + d[..., :-1])))
             assert np.array_equal(logd, d)
 
     def test_single_interior_site_matches_rejection_sampler(self):
@@ -686,6 +703,18 @@ class TestMonotoneCoupling:
         assert np.array_equal(c_lo, plain)
         assert np.array_equal(c_hi, plain)
 
+    @pytest.mark.parametrize("h", [ExpHamiltonian(), OrderedHamiltonian()], ids=["soft", "hard"])
+    def test_mismatched_batch_shapes_are_rejected(self, h):
+        grid, lo, hi, outer_lo, outer_hi = self._pair(1.0)
+        three, one = np.repeat(lo.curves[None], 3, axis=0), hi.curves[None]
+        u = np.random.default_rng(41).random((3, 2, 15))
+        with pytest.raises(LengthMismatch):
+            coupled_scan_batch(three, one, grid, outer_lo, outer_hi, h, u)
+        with pytest.raises(LengthMismatch):
+            coupled_scan_batch(three, three + 1.0, grid, outer_lo, outer_hi, h, u[:1])
+        with pytest.raises(LengthMismatch):
+            heat_bath_scan_batch(three, grid, outer_lo, h, u[:, :, :-1])
+
     def test_order_holds_across_sweeps(self):
         grid, lo, hi, outer_lo, outer_hi = self._pair(1.0)
         rng = np.random.default_rng(37)
@@ -749,13 +778,15 @@ HARD_SITE_CASES = {
 
 
 def _site_columns(states, rows):
-    """(mu_list, above_list, below_list) of constant (rows,) arrays."""
-    return [[np.full(rows, float(x)) for x in col] for col in zip(*states)]
+    """(mu, above, below), each (S, rows, 1): state s's values in every row."""
+    return [np.repeat(np.array(col, dtype=float)[:, None, None], rows, axis=1) for col in zip(*states)]
 
 
 def _site_draws(h, states, u=SITE_U):
-    mus, aboves, belows = _site_columns(states, u.shape[0])
-    return _site_draw(mus, SITE_SIGMA, aboves, belows, SITE_TRAP, h, u)
+    """(S, rows) site draws of S states, one row per uniform."""
+    mu, above, below = _site_columns(states, u.shape[0])
+    work = _site_buffers(len(states), u.shape[0])
+    return _site_draw(mu, SITE_SIGMA, above, below, SITE_TRAP, h, u[:, None], work)[..., 0]
 
 
 def _reference_cdf(h, mu, above, below, points=2**18):
@@ -836,7 +867,8 @@ class TestSiteCoupling:
         states = self._pair(mu, dmu, mu + above, da, mu + below, db)
 
         def raw(cols, u):
-            return _lattice_draws(cols[0], SITE_SIGMA, cols[1], cols[2], SITE_TRAP, h, u)
+            work = _site_buffers(2, u.shape[0])
+            return _lattice_draws(cols[0], SITE_SIGMA, cols[1], cols[2], SITE_TRAP, h, u[:, None], *work)[..., 0]
 
         self._assert_ordered(h, states, raw)
 
@@ -855,7 +887,7 @@ class TestSiteCoupling:
 
         def raw(cols, u):
             return [
-                _truncated_gaussian(mu, SITE_SIGMA, below, above, u)[0]
+                _truncated_gaussian(mu, SITE_SIGMA, below, above, u[:, None])[0][:, 0]
                 for mu, above, below in zip(*cols)
             ]
 
@@ -879,3 +911,174 @@ class TestSiteCoupling:
             for state, floor in ((lo, floors["lo"]), (hi, floors["hi"])):
                 assert np.all(state[:, 0] >= state[:, 1]) and np.all(state[:, 1] >= floor)
         assert violations == 0
+
+
+# Reference for the stacked site kernels: the per-state heat bath they
+# replaced, one lattice pass per state on fresh (B, m) arrays. The density and
+# cell formulas are the plain ones that test_site_kernels_match_plain_formulas
+# pins bit for bit; the lattice placement, widening and inversion are the
+# per-state code's own.
+
+
+def _ref_log_density(vs, mu, sigma, above, below, trap, h):
+    pen = h.integrand(vs - above) + h.integrand(below - vs)
+    return -0.5 * ((vs - mu) / sigma) ** 2 - trap * pen
+
+
+def _ref_cells(logd):
+    """(cells, slopes, density / peak), or None when a row has no finite peak."""
+    peak = logd.max(axis=1, keepdims=True)
+    if not np.isfinite(peak).all():
+        return None
+    ell = np.maximum(logd - peak, LOG_FLOOR)
+    d = np.exp(ell)
+    slope = np.diff(ell, axis=1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        log_linear = (d[:, 1:] - d[:, :-1]) / slope
+    cells = np.where(np.abs(slope) >= LOG_LINEAR_MIN, log_linear, 0.5 * (d[:, 1:] + d[:, :-1]))
+    return cells, slope, d
+
+
+def _ref_invert(vs, cells, slopes, u):
+    cdf = np.zeros(vs.shape)
+    np.cumsum(cells, axis=1, out=cdf[:, 1:])
+    target = u * cdf[:, -1]
+    idx = np.clip((cdf < target[:, None]).sum(axis=1), 1, cdf.shape[1] - 1)
+    rows = np.arange(cdf.shape[0])
+    c0, c1 = cdf[rows, idx - 1], cdf[rows, idx]
+    v0, x = vs[rows, idx - 1], slopes[rows, idx - 1]
+    q = np.clip(np.where(c1 > c0, (target - c0) / np.maximum(c1 - c0, 1e-300), 0.0), 0.0, 1.0)
+    up = x > 0
+    x = np.where(up, -x, x)
+    q = np.where(up, 1.0 - q, q)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        s = np.log1p(q * np.expm1(x)) / x
+    s = np.where(x < 0, s, q)
+    s = np.where(up, 1.0 - s, s)
+    return v0 + np.clip(s, 0.0, 1.0) * (vs[rows, idx] - v0)
+
+
+def _ref_lattice_draws(mus, sigma, aboves, belows, trap, h, u):
+    lo = np.minimum.reduce(mus) - LATTICE_HALF_WIDTH * sigma
+    hi = np.maximum.reduce(mus) + LATTICE_HALF_WIDTH * sigma
+    for above in aboves:
+        lo = np.where(np.isfinite(above), np.minimum(lo, above - 2 * sigma), lo)
+    for below in belows:
+        hi = np.where(np.isfinite(below), np.maximum(hi, below + 2 * sigma), hi)
+
+    def fits(lo, hi, points):
+        vs = (hi - lo)[:, None] * np.linspace(0.0, 1.0, points)[None, :] + lo[:, None]
+        dens = [_ref_log_density(vs, mu[:, None], sigma, ab[:, None], be[:, None], trap, h)
+                for mu, ab, be in zip(mus, aboves, belows)]
+        return vs, [_ref_cells(logd) for logd in dens]
+
+    coarse = np.linspace(0.0, 1.0, COARSE_POINTS)
+    for _ in range(MAX_WIDEN):
+        _, fit = fits(lo, hi, COARSE_POINTS)
+        span = hi - lo
+        if any(f is None for f in fit):
+            lo, hi = lo - 0.5 * span, hi + 0.5 * span
+            continue
+        bad = np.zeros(lo.shape[0], dtype=bool)
+        for cells, _, _ in fit:
+            tail = TAIL_MASS * cells.sum(axis=1)
+            bad |= (cells[:, 0] > tail) | (cells[:, -1] > tail)
+        if not bad.any():
+            break
+        lo, hi = np.where(bad, lo - 0.5 * span, lo), np.where(bad, hi + 0.5 * span, hi)
+    first = np.min([(d >= KEEP_DENSITY).argmax(axis=1) - 1 for _, _, d in fit], axis=0)
+    last = np.max([COARSE_POINTS - (d >= KEEP_DENSITY)[:, ::-1].argmax(axis=1) for _, _, d in fit], axis=0)
+    first, last = np.maximum(first, 0), np.minimum(last, COARSE_POINTS - 1)
+    span = hi - lo
+    vs, fit = fits(span * coarse[first] + lo, span * coarse[last] + lo, LATTICE_POINTS)
+    return [_ref_invert(vs, cells, slopes, u) for cells, slopes, _ in fit]
+
+
+def _ref_scan(states, outers, grid, h, u):
+    n = grid.n
+    stacks = [
+        np.concatenate([np.broadcast_to(_boundary_row(o.upper, grid), (s.shape[0], 1, n)), s,
+                        np.broadcast_to(_boundary_row(o.lower, grid), (s.shape[0], 1, n))], axis=1)
+        for s, o in zip(states, outers)
+    ]
+    for i in range(1, states[0].shape[1] + 1):
+        for j in range(1, n - 1):
+            w1, sigma, trap = _site_gaussian(grid.points, j)
+            mus = [(1.0 - w1) * st[:, i, j - 1] + w1 * st[:, i, j + 1] for st in stacks]
+            aboves = [st[:, i - 1, j] for st in stacks]
+            belows = [st[:, i + 1, j] for st in stacks]
+            uij = u[:, i - 1, j - 1]
+            if isinstance(h, OrderedHamiltonian):
+                draws = [_truncated_gaussian(mu, sigma, be, ab, uij)[0]
+                         for mu, ab, be in zip(mus, aboves, belows)]
+            else:
+                draws = _ref_lattice_draws(mus, sigma, aboves, belows, trap, h, uij)
+            if len(draws) == 2:
+                draws[1] = np.maximum(draws[1], draws[0])
+            for st, v in zip(stacks, draws):
+                st[:, i, j] = v
+    return tuple(st[:, 1:-1] for st in stacks)
+
+
+class TestStackedScanMatchesPerStateReference:
+    GRID = Grid(0.0, 1.0, 9)
+    LEVELS = np.array([0.5, -0.5])
+
+    @staticmethod
+    def _scan_both(states, outers, grid, h, u):
+        new = (heat_bath_scan_batch(states[0], grid, outers[0], h, u) if len(states) == 1
+               else coupled_scan_batch(*states, grid, *outers, h, u))
+        new = new if isinstance(new, tuple) else (new,)
+        return new, _ref_scan(states, outers, grid, h, u)
+
+    @pytest.mark.parametrize("chains", [1, 7, 50, 250])
+    @pytest.mark.parametrize("kind", ["plain", "coupled", "one_finite_outer"])
+    @pytest.mark.parametrize(
+        "h", [ScaledExpHamiltonian(1.0), ScaledExpHamiltonian(8.0), ScaledExpHamiltonian(100.0),
+              OrderedHamiltonian()], ids=["t1", "t8", "t100", "hard"],
+    )
+    def test_scans_match_bytewise(self, h, kind, chains):
+        grid, n = self.GRID, self.GRID.n
+        rng = np.random.default_rng(chains)
+        lo = self.LEVELS[None, :, None] + rng.uniform(-0.1, 0.1, (chains, 2, n))
+        lo[..., [0, -1]] = self.LEVELS[:, None]
+        states = [lo, lo + 0.3]
+        sentinel = BoundaryData(self.LEVELS, self.LEVELS, PLUS_INF, MINUS_INF)
+        outers = {
+            "plain": [sentinel],
+            "coupled": [sentinel, sentinel],
+            # only one state's row is a sentinel at each outer neighbour
+            "one_finite_outer": [
+                BoundaryData(self.LEVELS, self.LEVELS, constant_curve(grid, 1.4), MINUS_INF),
+                BoundaryData(self.LEVELS, self.LEVELS, PLUS_INF, constant_curve(grid, -0.9)),
+            ],
+        }[kind]
+        states = states[: len(outers)]
+        u = rng.random((chains, 2, n - 2))
+        new, ref = self._scan_both(states, outers, grid, h, u)
+        assert len(new) == len(ref)
+        for a, b in zip(new, ref):
+            assert a.tobytes() == b.tobytes()
+
+    @pytest.mark.parametrize("kind", ["crossed_neighbour", "distant_pair"])
+    def test_scans_that_widen_the_lattice_match_bytewise(self, kind, monkeypatch):
+        # a lower curve 20 above the upper one under a weak penalty stretches
+        # the coarse lattice over both, as do two states 15 apart; the coarse
+        # cells at the far end then hold too much mass and the lattice widens
+        grid, n, chains = Grid(0.0, 1.0, 17), 17, 20
+        rng = np.random.default_rng(5)
+        levels = np.array([0.0, 20.0]) if kind == "crossed_neighbour" else self.LEVELS
+        lo = levels[None, :, None] + rng.uniform(-0.1, 0.1, (chains, 2, n))
+        lo[..., [0, -1]] = levels[:, None]
+        outer = BoundaryData(levels, levels, PLUS_INF, MINUS_INF)
+        states, outers = ([lo], [outer]) if kind == "crossed_neighbour" else ([lo, lo + 15.0], [outer, outer])
+        h = ScaledExpHamiltonian(1e-3 if kind == "crossed_neighbour" else 1.0)
+        u = rng.random((chains, 2, n - 2))
+        lattices = []
+        lattice = gibbs._lattice
+        monkeypatch.setattr(gibbs, "_lattice", lambda *a: lattices.append(1) or lattice(*a))
+        new, ref = self._scan_both(states, outers, grid, h, u)
+        sites = 2 * (n - 2)
+        assert len(lattices) > 2 * sites  # one coarse and one fine lattice per site, plus widenings
+        for a, b in zip(new, ref):
+            assert a.tobytes() == b.tobytes()
