@@ -116,10 +116,14 @@ def _cmd_run(args) -> int:
     path = config.output_path or default_output_path(config)
     text_out = render(report_rows(report, config), config.output_format)
     parent = os.path.dirname(path)
-    if parent:
-        os.makedirs(parent, exist_ok=True)
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(text_out)
+    try:
+        if parent:
+            os.makedirs(parent, exist_ok=True)
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text_out)
+    except OSError as err:
+        print(f"error: cannot write report: {err}", file=sys.stderr)
+        return 2
     n_checks = len(report.checks)
     n_ok = sum(1 for _, ok, _ in report.checks if ok)
     print(

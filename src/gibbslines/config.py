@@ -17,6 +17,8 @@ from typing import Callable
 from .errors import ParseError, ValidationError
 from .experiments import (
     SeparationConfig,
+    _raise_problems,
+    _thread_problems,
     run_excursion_experiment,
     run_fluctuation_experiment,
     run_ordering_experiment,
@@ -40,18 +42,19 @@ class RunConfig:
 @dataclass(frozen=True)
 class _ExperimentEntry:
     # parameter name -> default; order is the emit order, and each default's
-    # type gives the parameter's kind (see kind_of)
+    # type gives the parameter's kind (see kind_of). precheck(p, seed, threads)
+    # lists a run's problems before its runner is called
     defaults: dict
     dispatch: Callable
     precheck: Callable | None = None
 
 
-def _separation_precheck(p: dict, seed: int) -> list:
+def _separation_precheck(p: dict, seed: int, threads: int) -> list:
     try:
         SeparationConfig(seed=seed, **p)
     except ValidationError as err:
-        return err.problems
-    return []
+        return err.problems + _thread_problems(threads)
+    return _thread_problems(threads)
 
 
 # Each dispatch names its runner inside the lambda body, so the runner is
@@ -190,8 +193,8 @@ def parse_config(text: str) -> RunConfig:
         value = _coerce(key, kind_of(entry.defaults[key]), token, problems)
         if value is not None:
             params[key] = value
-    if not problems and entry.precheck is not None:
-        problems.extend(entry.precheck(params, seed))
+    if entry.precheck is not None:
+        problems.extend(entry.precheck(params, seed, threads))
     if problems:
         raise ValidationError(problems)
     return RunConfig(
@@ -219,6 +222,9 @@ def emit_default_config(experiment: str) -> str:
 
 
 def run_experiment(config: RunConfig):
-    """Dispatch a validated config to its experiment runner."""
+    """Dispatch a config to its experiment runner. The precheck runs again, so
+    a seed or thread count replaced after parsing is reported with the rest."""
     entry = REGISTRY[config.experiment]
+    if entry.precheck is not None:
+        _raise_problems(entry.precheck(config.parameters, config.seed, config.threads))
     return entry.dispatch(config.parameters, config.seed, config.threads)

@@ -50,8 +50,7 @@ from .errors import (
 )
 from .gibbs import (
     ConditionalSpec,
-    _log_weight_batch,
-    _prepared_slice,
+    _block,
     _truncated_gaussian,
     estimate_Z,
     sample_conditional_batch,
@@ -108,6 +107,16 @@ class ExperimentReport:
             if lab == label:
                 return ok, detail
         raise KeyError(f"no check labeled {label!r} in report {self.name!r}")
+
+
+# Report checks allow this many combined standard errors of Monte Carlo noise
+# between two estimates: the one rule of every comparison below.
+_NOISE_SIGMAS = 3.0
+
+
+def _noise_slack(se_a: float, se_b: float) -> float:
+    """Allowed gap between two independent estimates with these standard errors."""
+    return _NOISE_SIGMAS * math.hypot(se_a, se_b)
 
 
 def _const_estimate(value: float, n: int, seed: int) -> McEstimate:
@@ -218,14 +227,20 @@ def _run_shards(fn, n: int, seed: int, threads: int) -> tuple:
     return tuple(merged)
 
 
-def _check_threads(threads: int):
-    if not isinstance(threads, int) or not 1 <= threads <= 64:
-        raise ValidationError([f"threads must be an integer in [1, 64], got {threads}"])
+def _thread_problems(threads) -> list[str]:
+    ok = isinstance(threads, int) and 1 <= threads <= 64
+    return [] if ok else [f"threads must be an integer in [1, 64], got {threads}"]
 
 
 def _seed_problems(seed) -> list[str]:
     ok = isinstance(seed, (int, np.integer)) and seed >= 0  # as SeedSequence needs
     return [] if ok else [f"seed must be a nonnegative integer, got {seed}"]
+
+
+def _raise_problems(problems: list[str]):
+    """Raise every collected validation problem at once, if there are any."""
+    if problems:
+        raise ValidationError(problems)
 
 
 # ---------------------------------------------------------------------------
@@ -295,9 +310,7 @@ class SeparationConfig:
             problems.append(f"M must be >= sqrt(L) = {math.sqrt(self.L):.6g}, got {self.M}")
         if not isinstance(self.n_samples, int) or not 1 <= self.n_samples <= DESK_MAX_SAMPLES:
             problems.append(f"n_samples must be an integer in [1, {DESK_MAX_SAMPLES}], got {self.n_samples}")
-        problems += _seed_problems(self.seed)
-        if problems:
-            raise ValidationError(problems)
+        _raise_problems(problems + _seed_problems(self.seed))
 
     def left_ends(self) -> np.ndarray:
         j = np.arange(1, self.k + 2)
@@ -323,8 +336,8 @@ class SeparationConfig:
 
 
 class _SeparationFrame:
-    """Precomputed grid indices, boundary rows, event levels and weight slices
-    (off-window and full-window) for one config."""
+    """Precomputed grid indices, event levels and the two weighed blocks of
+    one config: `off_window` on the full grid, `window` on the window grid."""
 
     def __init__(self, cfg: SeparationConfig):
         self.cfg = cfg
@@ -344,35 +357,13 @@ class _SeparationFrame:
         self.band_hi = np.array([cfg.band(j)[1] for j in range(1, k + 1)])
         self.raise_lv = np.array([cfg.raise_level(j) for j in range(1, k + 1)])
         self.h = ScaledExpHamiltonian(cfg.t)
-        boundary = BoundaryData(
-            x_vec=self.ext,
-            y_vec=self.ext,
-            upper=PLUS_INF,
-            lower=Curve(self.grid, self.floor_vals),
-        )
-        self.spec = ConditionalSpec(
-            1,
-            k,
-            (float(self.left[0]), float(self.right[0])),
-            boundary,
-            self.h,
-            window=(-L, L),
-        )
-        _, _, _, self._upper, self._lower, self._columns = _prepared_slice(self.spec, self.grid)
+        bd = BoundaryData(self.ext, self.ext, PLUS_INF, Curve(self.grid, self.floor_vals))
+        interval = (float(self.left[0]), float(self.right[0]))
+        self.off_window = _block(ConditionalSpec(1, k, interval, bd, self.h, window=(-L, L)), self.grid)
         self.win_grid = Grid(-L, L, self.iwr - self.iwl + 1)
         self.win_floor = Curve(self.win_grid, self.floor_vals[self.iwl : self.iwr + 1])
-        # the window weight ignores entrance/exit values: any spec's slice serves
-        win_spec = self.window_spec(self.ext, self.ext)
-        _, _, *self._win_slice = _prepared_slice(win_spec, self.win_grid)
-
-    def log_weights(self, batch: np.ndarray) -> np.ndarray:
-        """Off-window log Boltzmann weight of each staggered sample."""
-        return _log_weight_batch(batch, self.pts, self._upper, self._lower, self.h, self._columns)
-
-    def window_log_weights(self, window: np.ndarray) -> np.ndarray:
-        """Full-window log Boltzmann weight of each (k, window points) sample."""
-        pts, upper, lower, columns = self._win_slice
-        return _log_weight_batch(window, pts, upper, lower, self.h, columns)
+        # the window weight ignores entrance/exit values: any spec's block serves
+        self.window = _block(self.window_spec(self.ext, self.ext), self.win_grid)
 
     def base_batch(self, m: int) -> np.ndarray:
         return np.broadcast_to(self.ext[None, :, None], (m, self.cfg.k, self.grid.n)).copy()
@@ -589,23 +580,23 @@ def run_separation_experiment(cfg: SeparationConfig, threads: int = 1) -> Experi
     rate D with log P(separated) >= -D (M^2/L + L), and the band events imply
     the endpoint event samplewise by construction.
     """
-    _check_threads(threads)
+    _raise_problems(_thread_problems(threads))
     frame = _SeparationFrame(cfg)
     no_ceiling = np.full(cfg.k, np.inf)
 
     def channel_log_weights(m, rng, lo_vec, hi_vec):
         batch, lmass = _channel_proposal_batch(frame, m, rng, lo_vec, hi_vec)
         factor = _channel_log_factor(frame, batch, lo_vec, hi_vec)
-        return lmass + frame.log_weights(batch) + factor, factor
+        return lmass + frame.off_window.log_weights(batch) + factor, factor
 
     # each (m, k, n) proposal batch dies once its log weight is taken, so at
     # most one is alive at a time; the draw order is free, sep, banded, raised
     def shard(m, rng):
-        lw_free = frame.log_weights(_staggered_free_batch(frame, m, rng))
+        lw_free = frame.off_window.log_weights(_staggered_free_batch(frame, m, rng))
         # endpoint event: window-edge anchors in band, nothing else conditioned,
         # so the proposal support is exactly the event and no indicator appears
         sep, _, lmass_e = _band_proposal_batch(frame, m, rng)
-        lw_sep = lmass_e + frame.log_weights(sep)
+        lw_sep = lmass_e + frame.off_window.log_weights(sep)
         del sep
         lw_banded, band_factor = channel_log_weights(m, rng, frame.band_lo, frame.band_hi)
         lw_raised, _ = channel_log_weights(m, rng, frame.raise_lv, no_ceiling)
@@ -651,7 +642,7 @@ def run_separation_experiment(cfg: SeparationConfig, threads: int = 1) -> Experi
         fit_ok = False
         fit_detail = "separated-endpoint estimate underflowed to zero"
 
-    inclusion_slack = 3.0 * math.hypot(p_band.stderr, p_sep.stderr)
+    inclusion_slack = _noise_slack(p_band.stderr, p_sep.stderr)
     inclusion_ok = violations == 0 and p_band.mean <= p_sep.mean + inclusion_slack + 1e-12
     estimates = [
         ("separated_endpoints_prob", p_sep),
@@ -699,7 +690,7 @@ def run_z_lowerbound_experiment(cfg: SeparationConfig, threads: int = 1) -> Expe
     -2kL directly. The inner runs cap the useful budget, so the kept sample
     count is min(n_samples, 384).
     """
-    _check_threads(threads)
+    _raise_problems(_thread_problems(threads))
     frame = _SeparationFrame(cfg)
     n_keep = min(cfg.n_samples, 384)
     n_inner = 256
@@ -708,13 +699,13 @@ def run_z_lowerbound_experiment(cfg: SeparationConfig, threads: int = 1) -> Expe
 
     def shard(m, rng):
         batch, anchors, lmass = _band_proposal_batch(frame, m, rng)
-        lw = lmass + frame.log_weights(batch)
+        lw = lmass + frame.off_window.log_weights(batch)
         spec = frame.window_spec(anchors[:, :, 0], anchors[:, :, 1])
         z = estimate_Z(spec, frame.win_grid, n=n_inner, seed=int(rng.integers(2**62)))
         window = batch[:, :, frame.iwl : frame.iwr + 1]
         chords = anchors[:, :, 0, None] + (anchors[:, :, 1] - anchors[:, :, 0])[:, :, None] * frac
         osc = np.all(np.abs(window - chords) <= M, axis=(1, 2))
-        logw_win = frame.window_log_weights(window)
+        logw_win = frame.window.log_weights(window)
         return lw, z.mean, z.stderr, osc, logw_win
 
     lw, zmean, zse, osc, logw_win = _run_shards(shard, n_keep, cfg.seed, threads)
@@ -796,7 +787,6 @@ def run_ordering_experiment(
     diagnostic raises when the two halves of any run disagree by more than
     three combined standard errors. t_list must be strictly increasing.
     """
-    _check_threads(threads)
     problems = []
     if not isinstance(k, int) or not 1 <= k <= DESK_MAX_CURVES - 1:
         problems.append(f"k must be an integer in [1, {DESK_MAX_CURVES - 1}], got {k}")
@@ -810,9 +800,7 @@ def run_ordering_experiment(
         problems.append(f"rho must be finite, got {rho}")
     if not isinstance(n_samples, int) or not 2 <= n_samples <= DESK_MAX_SAMPLES:
         problems.append(f"n_samples must be an integer in [2, {DESK_MAX_SAMPLES}], got {n_samples}")
-    problems += _seed_problems(seed)
-    if problems:
-        raise ValidationError(problems)
+    _raise_problems(problems + _seed_problems(seed) + _thread_problems(threads))
 
     grid = Grid(-2.0, 2.0, 129)
     iw0, iw1 = grid.index_of(-1.0), grid.index_of(1.0)
@@ -842,7 +830,7 @@ def run_ordering_experiment(
         m1 = McEstimate.from_samples(hits[:half], seed)
         m2 = McEstimate.from_samples(hits[half:], seed)
         gap12 = abs(m1.mean - m2.mean)
-        allowance = 3.0 * math.hypot(m1.stderr, m2.stderr)
+        allowance = _noise_slack(m1.stderr, m2.stderr)
         if gap12 > allowance:
             raise MixingDiagnosticFailure(f"near_touch_prob[{label}]", gap12, allowance)
         checks.append(
@@ -868,7 +856,7 @@ def run_ordering_experiment(
     mono_ok = True
     pieces = []
     for a, b in zip(probs, probs[1:]):
-        slack = 3.0 * math.hypot(a.stderr, b.stderr)
+        slack = _noise_slack(a.stderr, b.stderr)
         mono_ok &= b.mean <= a.mean + slack
         pieces.append(f"{a.mean:.4g} -> {b.mean:.4g} (slack {slack:.4g})")
     checks.append(
@@ -911,7 +899,6 @@ def run_fluctuation_experiment(
     decay term is conservative. The drift allowance degenerates as d -> 1;
     the factor is floored at 0.05 and the detail string records it.
     """
-    _check_threads(threads)
     problems = []
     if not 0.0 < d <= 1.0:
         problems.append(f"d must lie in (0, 1], got {d}")
@@ -921,9 +908,7 @@ def run_fluctuation_experiment(
         problems.append(f"boundary_box must be positive and finite, got {boundary_box}")
     if not isinstance(n_samples, int) or not 2 <= n_samples <= DESK_MAX_SAMPLES:
         problems.append(f"n_samples must be an integer in [2, {DESK_MAX_SAMPLES}], got {n_samples}")
-    problems += _seed_problems(seed)
-    if problems:
-        raise ValidationError(problems)
+    _raise_problems(problems + _seed_problems(seed) + _thread_problems(threads))
 
     grid = Grid(-1.0, 1.0, 65)
     h = ScaledExpHamiltonian(1.0)
@@ -975,7 +960,7 @@ def run_fluctuation_experiment(
         p_bf = McEstimate.from_samples(bf, seed)
         p_bad = McEstimate.from_samples(gb_bad, seed)
         bf_by_k[K] = bf
-        slack = 3.0 * math.hypot(p_bf.stderr, p_bad.stderr)
+        slack = _noise_slack(p_bf.stderr, p_bad.stderr)
         ok = p_bf.mean <= p_bad.mean + decay + slack + 1e-12
         checks.append(
             (
@@ -1137,10 +1122,7 @@ def estimate_excursion_probability(
     ceiling) remain reachable for sanity checks; the experiment runner
     enforces the full preconditions.
     """
-    _check_threads(threads)
-    problems = _excursion_problems(L, M, lam, interval, n_samples, seed)
-    if problems:
-        raise ValidationError(problems)
+    _raise_problems(_excursion_problems(L, M, lam, interval, n_samples, seed) + _thread_problems(threads))
     vals, _ = _run_shards(
         lambda m, rng: _excursion_anchor_shard(L, M, lam, x, y, interval, m, rng),
         n_samples,
@@ -1169,7 +1151,6 @@ def run_excursion_experiment(
     noise, audits the containment samplewise on proposal paths, and fits the
     decay rate D in log P >= -D M^2 / L.
     """
-    _check_threads(threads)
     problems = _excursion_problems(L, M, lam, interval, n_samples, seed)
     if math.isfinite(lam) and not lam >= 4.0:
         problems.append(f"lam must be at least 4, got {lam}")
@@ -1177,8 +1158,7 @@ def run_excursion_experiment(
         problems.append(f"|x| and |y| must be at most M = {M}, got x={x}, y={y}")
     if L > 0 and M > 0 and not M >= math.sqrt(L):
         problems.append(f"M must be >= sqrt(L) = {math.sqrt(L):.6g}, got {M}")
-    if problems:
-        raise ValidationError(problems)
+    _raise_problems(problems + _thread_problems(threads))
 
     ell, r = float(interval[0]), float(interval[1])
     mid = (r - ell) - 2.0 * L
@@ -1205,7 +1185,7 @@ def run_excursion_experiment(
 
     product = est_band.mean * p_left * p_mid * p_left
     product_se = est_band.stderr * p_left * p_mid * p_left
-    slack = 3.0 * math.hypot(est_j.stderr, product_se)
+    slack = _noise_slack(est_j.stderr, product_se)
     prod_ok = est_j.mean >= product - slack - 1e-12
 
     d_fit = -L * math.log(est_j.mean) / (M * M)

@@ -13,9 +13,14 @@ W lies in (0, 1] and Z = E_free[W] normalizes the conditional law.
 The off-window variant integrates only over [a, a'] union [b', b]; it is used
 by estimators that leave the middle window unweighted.
 
-H is evaluated only on the pairs and columns that carry weight: a sentinel
-pair (its gap is -inf, and H(-inf) = 0) is never formed, and the unweighted
-window columns of an off-window weight are never evaluated.
+Every weight goes through one prepared block, _block(spec, grid), built once
+per (spec, grid): the interval's grid indices and points, the boundary rows
+with sentinels filled in, the weighted column ranges and H. Its log_weights
+is the only weight evaluator; log_boltzmann_weight, estimate_Z, the exact
+samplers and the separation runners all call it. It evaluates H only on the
+pairs and columns that carry weight: a sentinel pair (its gap is -inf, and
+H(-inf) = 0) is never formed, and the unweighted window columns of an
+off-window weight are never read.
 
 The hard wall stands for continuum non-crossing: its one weight is the exact
 probability that bridges through the grid values never cross, free of the grid
@@ -102,21 +107,6 @@ class StoppingDomain:
     hit_right: bool
 
 
-def _slice_indices(grid: Grid, spec: ConditionalSpec) -> tuple[int, int]:
-    a, b = spec.interval
-    return grid.index_of(a), grid.index_of(b)
-
-
-def _integration_columns(pts: np.ndarray, grid: Grid, spec: ConditionalSpec, ia: int):
-    """Column index ranges (into the interval slice) that carry weight."""
-    if spec.window is None:
-        return [(0, pts.shape[0] - 1)]
-    ap, bp = spec.window
-    ja = grid.index_of(ap) - ia
-    jb = grid.index_of(bp) - ia
-    return [(0, ja), (jb, pts.shape[0] - 1)]
-
-
 def _weighted_pairs(batch: np.ndarray, upper_vals: np.ndarray, lower_vals: np.ndarray) -> list:
     """The (above, below, sigma2) row pairs that carry weight, top to bottom.
 
@@ -134,53 +124,73 @@ def _weighted_pairs(batch: np.ndarray, upper_vals: np.ndarray, lower_vals: np.nd
     return pairs
 
 
-def _log_weight_batch(
-    batch: np.ndarray,
-    pts: np.ndarray,
-    upper_vals: np.ndarray,
-    lower_vals: np.ndarray,
-    h: Hamiltonian,
-    columns,
-) -> np.ndarray:
-    """Log Boltzmann weight of each ensemble in the batch, shape (size,).
+class _Block(NamedTuple):
+    """One conditional block prepared on one grid; the only weight evaluator.
 
-    The hard wall takes its non-crossing log probability. Any other H is
-    evaluated only on the weighted pairs and on the columns that carry weight;
-    the pair rows are summed in order and each column range gets its own
-    trapezoid, so the result is bitwise that of the full-stack formula.
+    span holds the interval's grid indices and pts its m grid points; upper
+    and lower are the boundary rows on pts, sentinels filled in; columns are
+    the (j0, j1) index ranges into pts that carry weight: the whole interval,
+    or the two pieces off the spec's window.
     """
-    size = batch.shape[0]
-    pairs = _weighted_pairs(batch, upper_vals, lower_vals)
-    if isinstance(h, OrderedHamiltonian):
-        return _log_ordered_survival_batch(pairs, pts, columns, size)
-    total = np.zeros(size)
-    if not pairs:
+
+    span: slice
+    pts: np.ndarray
+    upper: np.ndarray
+    lower: np.ndarray
+    columns: tuple
+    h: Hamiltonian
+
+    def log_weights(self, batch: np.ndarray) -> np.ndarray:
+        """Log Boltzmann weight of each ensemble of a (size, k, m) batch.
+
+        The hard wall takes the exact per-segment non-crossing log
+        probabilities of every weighted pair, a segment's variance being its
+        length times the pair's sigma2. Any other H is evaluated only on the
+        weighted pairs and columns: per column range the pairs' H rows are
+        summed in order and get their own trapezoid, so the result is bitwise
+        that of the full-stack formula.
+        """
+        pairs = _weighted_pairs(batch, self.upper, self.lower)
+        total = np.zeros(batch.shape[0])
+        if isinstance(self.h, OrderedHamiltonian):
+            dt = np.diff(self.pts)
+            for above, below, sigma2 in pairs:
+                for j0, j1 in self.columns:
+                    d = above[..., j0 : j1 + 1] - below[..., j0 : j1 + 1]  # positive where ordered
+                    total += segment_log_survival(d[:, :-1], d[:, 1:], sigma2 * dt[j0:j1]).sum(axis=1)
+            return total
+        if not pairs:
+            return -total
+        for j0, j1 in self.columns:
+            # gap convention: lower row minus upper row; ordered configurations are negative
+            gaps = np.empty((batch.shape[0], len(pairs), j1 + 1 - j0))
+            for p, (above, below, _) in enumerate(pairs):
+                np.subtract(below[..., j0 : j1 + 1], above[..., j0 : j1 + 1], out=gaps[:, p])
+            integrand = self.h.integrand(gaps).sum(axis=1)
+            total += np.trapezoid(integrand, x=self.pts[j0 : j1 + 1], axis=1)
         return -total
-    # column range r sits at [starts[r], starts[r + 1]) of the packed arrays
-    starts = np.cumsum([0] + [j1 + 1 - j0 for j0, j1 in columns])
-    spans = list(zip(columns, starts, starts[1:]))
-    # gap convention: lower row minus upper row; ordered configurations are negative
-    gaps = np.empty((size, len(pairs), starts[-1]))
-    for p, (above, below, _) in enumerate(pairs):
-        for (j0, j1), s0, s1 in spans:
-            np.subtract(below[..., j0 : j1 + 1], above[..., j0 : j1 + 1], out=gaps[:, p, s0:s1])
-    integrand = h.integrand(gaps).sum(axis=1)
-    for (j0, j1), s0, s1 in spans:
-        total += np.trapezoid(integrand[:, s0:s1], x=pts[j0 : j1 + 1], axis=1)
-    return -total
 
 
-def _log_ordered_survival_batch(pairs, pts, columns, size: int) -> np.ndarray:
-    """Sum of exact per-segment non-crossing log probabilities for every
-    weighted pair; a segment's variance is its length times the pair's sigma2."""
-    dt = np.diff(pts)
-    out = np.zeros(size)
-    for above, below, sigma2 in pairs:
-        for j0, j1 in columns:
-            d = above[..., j0 : j1 + 1] - below[..., j0 : j1 + 1]  # positive where ordered
-            seg = segment_log_survival(d[:, :-1], d[:, 1:], sigma2 * dt[j0:j1])
-            out += seg.sum(axis=1)
-    return out
+def _block(spec: ConditionalSpec, grid: Grid) -> _Block:
+    ia, ib = (grid.index_of(v) for v in spec.interval)
+    if ib - ia < 1:
+        raise InvalidInterval("interval spans fewer than two grid points")
+    upper = boundary_values(spec.boundary.upper, grid, ia, ib)
+    lower = boundary_values(spec.boundary.lower, grid, ia, ib)
+    columns = ((0, ib - ia),)
+    if spec.window is not None:
+        ja, jb = (grid.index_of(v) - ia for v in spec.window)
+        columns = ((0, ja), (jb, ib - ia))
+    return _Block(slice(ia, ib + 1), grid.points[ia : ib + 1], upper, lower, columns, spec.hamiltonian)
+
+
+def _free_candidates(pts: np.ndarray, boundary: BoundaryData, rows: np.ndarray, rng) -> np.ndarray:
+    """Free ensembles on pts, candidate i pinned by entrance/exit row rows[i]
+    of a (B, k) boundary, or by the one row of a (k,) boundary."""
+    x, y = boundary.x_vec, boundary.y_vec
+    if x.ndim == 2:
+        x, y = x[rows], y[rows]
+    return free_ensemble_batch(pts, x, y, rng, rows.size)
 
 
 def log_boltzmann_weight(ens: LineEnsemble, spec: ConditionalSpec) -> float:
@@ -192,21 +202,8 @@ def log_boltzmann_weight(ens: LineEnsemble, spec: ConditionalSpec) -> float:
     """
     if ens.k != spec.n_curves:
         raise LengthMismatch(f"ensemble has {ens.k} curves, spec wants {spec.n_curves}")
-    ia, ib, pts, upper, lower, columns = _prepared_slice(spec, ens.grid)
-    block = ens.curves[None, :, ia : ib + 1]
-    lw = _log_weight_batch(block, pts, upper, lower, spec.hamiltonian, columns)
-    return float(lw[0])
-
-
-def _prepared_slice(spec: ConditionalSpec, grid: Grid):
-    ia, ib = _slice_indices(grid, spec)
-    if ib - ia < 1:
-        raise InvalidInterval("interval spans fewer than two grid points")
-    pts = grid.points[ia : ib + 1]
-    upper = boundary_values(spec.boundary.upper, grid, ia, ib)
-    lower = boundary_values(spec.boundary.lower, grid, ia, ib)
-    columns = _integration_columns(pts, grid, spec, ia)
-    return ia, ib, pts, upper, lower, columns
+    blk = _block(spec, ens.grid)
+    return float(blk.log_weights(ens.curves[None, :, blk.span])[0])
 
 
 def estimate_Z(spec: ConditionalSpec, grid: Grid, n: int, seed: int) -> McEstimate:
@@ -216,17 +213,15 @@ def estimate_Z(spec: ConditionalSpec, grid: Grid, n: int, seed: int) -> McEstima
     rows taking theirs in turn from one default_rng(seed) stream, built and
     weighed at most Z_BATCH curves at a time (chunks do not move the stream).
     """
-    ia, ib, pts, upper, lower, columns = _prepared_slice(spec, grid)
-    x, y = spec.boundary.x_vec, spec.boundary.y_vec
-    lw = np.empty(x.shape[:-1] + (n,))
+    blk = _block(spec, grid)
+    lw = np.empty(spec.boundary.x_vec.shape[:-1] + (n,))
     flat = lw.reshape(-1)
     chunk = max(1, Z_BATCH // spec.n_curves)
     rng = np.random.default_rng(seed)
     for e0 in range(0, flat.size, chunk):
         m = min(chunk, flat.size - e0)
         rows = np.arange(e0, e0 + m) // n  # entrance/exit row of each candidate
-        cand = free_ensemble_batch(pts, *((x, y) if x.ndim == 1 else (x[rows], y[rows])), rng, m)
-        flat[e0 : e0 + m] = _log_weight_batch(cand, pts, upper, lower, spec.hamiltonian, columns)
+        flat[e0 : e0 + m] = blk.log_weights(_free_candidates(blk.pts, spec.boundary, rows, rng))
     return McEstimate.from_samples(np.exp(lw), seed)
 
 
@@ -247,11 +242,11 @@ def sample_conditional_batch(
     geometric with mean 1/Z_i. All pending draws have spent the same count; at
     `budget` the call raises instead of looping forever.
     """
-    ia, ib, pts, upper, lower, columns = _prepared_slice(spec, grid)
-    x, y = spec.boundary.x_vec, spec.boundary.y_vec
-    if x.shape[:-1] not in ((), (n,)):
-        raise LengthMismatch(f"entrance/exit rows {x.shape} for {n} draws")
-    curves = np.empty((n, spec.n_curves, pts.shape[0]))
+    blk = _block(spec, grid)
+    rows_shape = spec.boundary.x_vec.shape
+    if rows_shape[:-1] not in ((), (n,)):
+        raise LengthMismatch(f"entrance/exit rows {rows_shape} for {n} draws")
+    curves = np.empty((n, spec.n_curves, blk.pts.shape[0]))
     attempts = np.empty(n, dtype=np.int64)
     pending = np.arange(n)
     spent = 0  # candidates drawn by each pending draw
@@ -261,9 +256,8 @@ def sample_conditional_batch(
         p = pending.size
         c = min(-(-CANDIDATE_BATCH // p), budget - spent)
         rows = np.repeat(pending, c)  # entrance/exit row of each candidate
-        cand = free_ensemble_batch(pts, *((x, y) if x.ndim == 1 else (x[rows], y[rows])), rng, p * c)
-        lw = _log_weight_batch(cand, pts, upper, lower, spec.hamiltonian, columns)
-        accepted = (np.log(rng.random(p * c)) <= lw).reshape(p, c)
+        cand = _free_candidates(blk.pts, spec.boundary, rows, rng)
+        accepted = (np.log(rng.random(p * c)) <= blk.log_weights(cand)).reshape(p, c)
         hit = accepted.any(axis=1)
         first = accepted[hit].argmax(axis=1)
         curves[pending[hit]] = cand.reshape(p, c, *cand.shape[1:])[hit, first]
@@ -285,9 +279,8 @@ def sample_conditional(
     with mean 1/Z, so tiny normalizers exhaust the budget and raise.
     """
     curves, attempts = sample_conditional_batch(spec, grid, rng, 1, budget=budget)
-    ia, ib = _slice_indices(grid, spec)
-    sub_grid = Grid(float(grid.points[ia]), float(grid.points[ib]), ib - ia + 1)
-    return LineEnsemble(sub_grid, curves[0]), int(attempts[0])
+    a, b = spec.interval
+    return LineEnsemble(Grid(float(a), float(b), curves.shape[2]), curves[0]), int(attempts[0])
 
 
 def mcmc_sweep(

@@ -55,8 +55,7 @@ def scale_to_kpz_frame(path: Curve, p: ScalingParams) -> Curve:
     """Map a curve from the unscaled frame into the scaled frame."""
     g = path.grid
     new_grid = Grid(g.a / p.spatial, g.b / p.spatial, g.n)
-    vals = (path.values + p.t / 24.0) / p.height + p.index_shift
-    return Curve(new_grid, vals)
+    return Curve(new_grid, scale_boundary_value(path.values, p))
 
 
 def unscale_from_kpz_frame(path: Curve, p: ScalingParams) -> Curve:

@@ -171,6 +171,14 @@ class TestParseConfig:
             parse_config("experiment = separation\nseed = 1\noutput_format = xml\n")
         assert "output_format" in str(err.value)
 
+    def test_format_and_parameter_problems_reported_together(self):
+        with pytest.raises(ValidationError) as err:
+            parse_config("experiment = separation\nseed = 1\nk = 9\noutput_format = xml\n")
+        assert err.value.problems == [
+            "output_format: 'xml' is not one of json-lines, csv",
+            "k must be an integer in [1, 4], got 9",
+        ]
+
     def test_emit_unknown_experiment(self):
         with pytest.raises(ValidationError):
             emit_default_config("quantum")
@@ -347,6 +355,34 @@ class TestCli:
         assert main(["run", cfg, "--seed", "-1", "--output", str(out)]) == 2
         assert "seed must be a nonnegative integer, got -1" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_parameter_seed_and_thread_problems_reported_together(self, tmp_path, capsys):
+        out = tmp_path / "never.jsonl"
+        cfg = _write(tmp_path, "experiment = ordering\nseed = -1\nk = 9\nthreads = 0\n")
+        assert main(["run", cfg, "--output", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            "error: k must be an integer in [1, 3], got 9; "
+            "seed must be a nonnegative integer, got -1; "
+            "threads must be an integer in [1, 64], got 0\n"
+        )
+        assert not out.exists()
+
+    @pytest.mark.parametrize("name", sorted(REGISTRY))
+    def test_overridden_seed_and_threads_reported_together(self, tmp_path, capsys, name):
+        out = tmp_path / "never.jsonl"
+        cfg = _write(tmp_path, emit_default_config(name))
+        assert main(["run", cfg, "--threads", "0", "--seed", "-1", "--output", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "seed must be a nonnegative integer, got -1" in err
+        assert "threads must be an integer in [1, 64], got 0" in err
+        assert not out.exists()
+
+    def test_unwritable_report_path_is_exit_2(self, tmp_path, capsys):
+        afile = tmp_path / "afile"
+        afile.write_text("", encoding="utf-8")
+        cfg = _write(tmp_path, FAST_SEPARATION)
+        assert main(["run", cfg, "--output", str(afile / "x.jsonl")]) == 2
+        assert "error: cannot write report:" in capsys.readouterr().err
 
     def test_execution_error_is_exit_2(self, tmp_path, capsys):
         # a two-curve budget this small degenerates the importance weights

@@ -221,7 +221,7 @@ class TestSeparationFrame:
             )
             for i in range(len(window))
         ]
-        got = frame.window_log_weights(window)
+        got = frame.window.log_weights(window)
         assert np.array_equal(got, expected)
         assert np.unique(got).size > 1
 

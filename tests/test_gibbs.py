@@ -38,9 +38,8 @@ from gibbslines.gibbs import (
     ConditionalSpec,
     _boundary_row,
     _lattice_draws,
+    _block,
     _log_linear_cells,
-    _log_weight_batch,
-    _prepared_slice,
     _site_buffers,
     _site_draw,
     _site_gaussian,
@@ -179,7 +178,8 @@ class TestLogWeight:
         lower = Curve(grid, -1.5 * k + 0.3 * rng.normal(size=m)) if lower_finite else MINUS_INF
         bd = BoundaryData(batch[0, :, 0], batch[0, :, -1], upper, lower)
         spec = ConditionalSpec(1, k, (0.0, 1.0), bd, h, window=window)
-        _, _, pts, upper_vals, lower_vals, columns = _prepared_slice(spec, grid)
+        blk = _block(spec, grid)
+        pts, upper_vals, lower_vals, columns = blk.pts, blk.upper, blk.lower, blk.columns
         stacked = np.concatenate(
             [np.broadcast_to(upper_vals, (size, 1, m)), batch,
              np.broadcast_to(lower_vals, (size, 1, m))], axis=1,
@@ -198,19 +198,35 @@ class TestLogWeight:
             for j0, j1 in columns:
                 total += np.trapezoid(integrand[:, j0 : j1 + 1], x=pts[j0 : j1 + 1], axis=1)
             expected = -total
-        got = _log_weight_batch(batch, pts, upper_vals, lower_vals, h, columns)
+        got = blk.log_weights(batch)
         assert got.tobytes() == expected.tobytes()
         if upper_finite or lower_finite or k > 1:
             assert np.unique(got).size > 1
 
+    @pytest.mark.parametrize("h", [ScaledExpHamiltonian(8.0), OrderedHamiltonian()], ids=["soft", "wall"])
+    def test_window_interior_never_reaches_the_weight(self, h):
+        # the off-window weight reads no column strictly inside the window:
+        # NaN there must leave every weight as it is, bit for bit
+        m, size, k = 33, 40, 2
+        grid = Grid(0.0, 1.0, m)
+        rng = np.random.default_rng(5)
+        batch = -1.5 * np.arange(k)[None, :, None] + 0.5 * rng.normal(size=(size, k, m))
+        bd = BoundaryData(batch[0, :, 0], batch[0, :, -1], constant_curve(grid, 1.5),
+                          constant_curve(grid, -1.5 * k))
+        blk = _block(ConditionalSpec(1, k, (0.0, 1.0), bd, h, window=(0.25, 0.75)), grid)
+        holed = batch.copy()
+        holed[:, :, grid.index_of(0.25) + 1 : grid.index_of(0.75)] = np.nan
+        expected = blk.log_weights(batch)
+        assert not np.isnan(expected).any() and np.unique(expected).size > 1
+        assert blk.log_weights(holed).tobytes() == expected.tobytes()
+
     @staticmethod
-    def _paired_grid_gap(h, fine, coarse, paths, spec_on):
+    def _paired_grid_gap(fine, coarse, paths, spec_on):
         """Relative normalizer gap, coarse against fine, of the same bridges
         weighed on both grids, and the standard error of the paired gap."""
         weights = []
         for grid, vals in ((fine, paths), (coarse, paths[:, ::2])):
-            _, _, pts, upper, lower, columns = _prepared_slice(spec_on(grid), grid)
-            lw = _log_weight_batch(vals[:, None, :], pts, upper, lower, h, columns)
+            lw = _block(spec_on(grid), grid).log_weights(vals[:, None, :])
             weights.append(np.exp(lw))
         z_fine = weights[0].mean()
         gap = (weights[1].mean() - z_fine) / z_fine
@@ -228,7 +244,7 @@ class TestLogWeight:
         fine = Grid(0.0, 1.0, 65)
         paths = bridge_batch(fine.points, 0.0, 0.0, np.random.default_rng(61), 50000)
         gap, se = self._paired_grid_gap(
-            h, fine, Grid(0.0, 1.0, 33), paths,
+            fine, Grid(0.0, 1.0, 33), paths,
             lambda grid: _single_curve_spec(h, constant_curve(grid, -0.3)),
         )
         assert abs(gap) + 3.0 * se <= bound, f"gap {gap:.3%} +- {se:.3%}"
@@ -251,7 +267,7 @@ class TestLogWeight:
             bd = BoundaryData(np.array([M]), np.array([M]), PLUS_INF, floor)
             return ConditionalSpec(1, 1, (-2.0, 2.0), bd, h, window=(-1.0, 1.0))
 
-        gap, se = self._paired_grid_gap(h, fine, Grid(-2.0, 2.0, 129), paths, spec_on)
+        gap, se = self._paired_grid_gap(fine, Grid(-2.0, 2.0, 129), paths, spec_on)
         assert abs(gap) + 3.0 * se <= 1e-3, f"gap {gap:.3%} +- {se:.3%}"
 
 
