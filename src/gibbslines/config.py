@@ -17,7 +17,11 @@ from typing import Callable
 from .errors import ParseError, ValidationError
 from .experiments import (
     SeparationConfig,
+    _excursion_experiment_problems,
+    _fluctuation_problems,
+    _ordering_problems,
     _raise_problems,
+    _separation_problems,
     _thread_problems,
     run_excursion_experiment,
     run_fluctuation_experiment,
@@ -43,18 +47,21 @@ class RunConfig:
 class _ExperimentEntry:
     # parameter name -> default; order is the emit order, and each default's
     # type gives the parameter's kind (see kind_of). precheck(p, seed, threads)
-    # lists a run's problems before its runner is called
+    # lists every problem that dispatch(p, seed, threads) would raise, from the
+    # same problem-list function as the runner
     defaults: dict
     dispatch: Callable
-    precheck: Callable | None = None
+    precheck: Callable
 
 
 def _separation_precheck(p: dict, seed: int, threads: int) -> list:
-    try:
-        SeparationConfig(seed=seed, **p)
-    except ValidationError as err:
-        return err.problems + _thread_problems(threads)
-    return _thread_problems(threads)
+    return _separation_problems(**p, seed=seed) + _thread_problems(threads)
+
+
+def _excursion_args(p: dict) -> dict:
+    """Runner arguments of an excursion config: interval_left/right form the interval."""
+    args = {key: v for key, v in p.items() if not key.startswith("interval_")}
+    return dict(args, interval=(p["interval_left"], p["interval_right"]))
 
 
 # Each dispatch names its runner inside the lambda body, so the runner is
@@ -77,12 +84,14 @@ REGISTRY = {
     "ordering": _ExperimentEntry(
         defaults={"k": 2, "t_list": [1.0, 8.0, 64.0], "gap": 1.0, "rho": 0.25, "n_samples": 600},
         dispatch=lambda p, seed, threads: run_ordering_experiment(**p, seed=seed, threads=threads),
+        precheck=lambda p, seed, threads: _ordering_problems(**p, seed=seed, threads=threads),
     ),
     "fluctuation": _ExperimentEntry(
         defaults={"d": 0.25, "K_list": [1.0, 2.0, 3.0], "boundary_box": 2.0, "n_samples": 1200},
         dispatch=lambda p, seed, threads: run_fluctuation_experiment(
             **p, seed=seed, threads=threads
         ),
+        precheck=lambda p, seed, threads: _fluctuation_problems(**p, seed=seed, threads=threads),
     ),
     "excursion": _ExperimentEntry(
         defaults={
@@ -96,10 +105,10 @@ REGISTRY = {
             "n_samples": 20000,
         },
         dispatch=lambda p, seed, threads: run_excursion_experiment(
-            **{key: v for key, v in p.items() if not key.startswith("interval_")},
-            interval=(p["interval_left"], p["interval_right"]),
-            seed=seed,
-            threads=threads,
+            **_excursion_args(p), seed=seed, threads=threads
+        ),
+        precheck=lambda p, seed, threads: _excursion_experiment_problems(
+            **_excursion_args(p), seed=seed, threads=threads
         ),
     ),
 }
@@ -193,8 +202,7 @@ def parse_config(text: str) -> RunConfig:
         value = _coerce(key, kind_of(entry.defaults[key]), token, problems)
         if value is not None:
             params[key] = value
-    if entry.precheck is not None:
-        problems.extend(entry.precheck(params, seed, threads))
+    problems.extend(entry.precheck(params, seed, threads))
     if problems:
         raise ValidationError(problems)
     return RunConfig(
@@ -225,6 +233,5 @@ def run_experiment(config: RunConfig):
     """Dispatch a config to its experiment runner. The precheck runs again, so
     a seed or thread count replaced after parsing is reported with the rest."""
     entry = REGISTRY[config.experiment]
-    if entry.precheck is not None:
-        _raise_problems(entry.precheck(config.parameters, config.seed, config.threads))
+    _raise_problems(entry.precheck(config.parameters, config.seed, config.threads))
     return entry.dispatch(config.parameters, config.seed, config.threads)

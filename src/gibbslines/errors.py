@@ -60,19 +60,6 @@ class EffectiveSampleSizeTooSmall(GibbsLinesError):
         super().__init__(msg)
 
 
-class MixingDiagnosticFailure(GibbsLinesError):
-    """Split-chain halves of an experiment disagree beyond statistical noise."""
-
-    def __init__(self, label: str, gap: float, allowance: float):
-        self.label = label
-        self.gap = gap
-        self.allowance = allowance
-        super().__init__(
-            f"split-chain halves of {label} differ by {gap:.3g} "
-            f"(allowance {allowance:.3g})"
-        )
-
-
 class ParseError(GibbsLinesError):
     """A config file line could not be read at all."""
 

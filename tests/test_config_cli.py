@@ -13,12 +13,13 @@ from gibbslines.config import (
     REGISTRY,
     RunConfig,
     emit_default_config,
+    format_value,
     kind_of,
     parse_config,
     run_experiment,
 )
 from gibbslines.core import McEstimate
-from gibbslines.errors import MixingDiagnosticFailure, ParseError, ValidationError
+from gibbslines.errors import ParseError, ValidationError, ZeroHits
 from gibbslines.experiments import ExperimentReport
 
 FAST_SEPARATION = """
@@ -102,6 +103,28 @@ PARAMETER_KINDS = {
     "z_lowerbound": "int real real real int",
 }
 
+# parameter values with exactly one problem: (experiment, values, problem line)
+PARAMETER_PROBLEMS = [
+    ("separation", {"k": 9}, "k must be an integer in [1, 4], got 9"),
+    # M = sqrt(L), so the grid cap is the only problem
+    ("separation", {"L": 100.0, "M": 10.0}, "grid would need 12801 points, above the cap 8192"),
+    ("z_lowerbound", {"k": 9}, "k must be an integer in [1, 4], got 9"),
+    ("ordering", {"k": 9}, "k must be an integer in [1, 3], got 9"),
+    ("fluctuation", {"d": 2.0}, "d must lie in (0, 1], got 2.0"),
+    ("fluctuation", {"K_list": [0.0, 0.0]}, "K_list needs a positive entry"),
+    ("excursion", {"lam": 1.0}, "lam must be at least 4, got 1.0"),
+]
+
+
+def _config_with(name, overrides):
+    """Default config text of one experiment with some `key = value` lines replaced."""
+    lines = []
+    for line in emit_default_config(name).splitlines():
+        key = line.split("=", 1)[0].strip()
+        lines.append(f"{key} = {overrides[key]}" if key in overrides else line)
+    return "\n".join(lines) + "\n"
+
+
 # every (experiment, parameter) pair of kind real or real_list
 REAL_KEYS = [
     (name, key)
@@ -178,6 +201,17 @@ class TestParseConfig:
             "output_format: 'xml' is not one of json-lines, csv",
             "k must be an integer in [1, 4], got 9",
         ]
+
+    @pytest.mark.parametrize("name, values, problem", PARAMETER_PROBLEMS)
+    def test_parse_time_and_run_time_problems_agree(self, name, values, problem):
+        entry = REGISTRY[name]
+        texts = {key: format_value(kind_of(entry.defaults[key]), v) for key, v in values.items()}
+        with pytest.raises(ValidationError) as err:
+            parse_config(_config_with(name, dict(texts, output_format="xml")))
+        assert err.value.problems == ["output_format: 'xml' is not one of json-lines, csv", problem]
+        with pytest.raises(ValidationError) as err:
+            entry.dispatch(dict(entry.defaults, **values), 0, 1)
+        assert err.value.problems == [problem]
 
     def test_emit_unknown_experiment(self):
         with pytest.raises(ValidationError):
@@ -356,6 +390,40 @@ class TestCli:
         assert "seed must be a nonnegative integer, got -1" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "name, overrides, message",
+        [
+            (
+                "ordering",
+                {"k": "9", "output_format": "xml"},
+                "output_format: 'xml' is not one of json-lines, csv; k must be an integer in [1, 3], got 9",
+            ),
+            (
+                "excursion",
+                {"lam": "1", "threads": "abc"},
+                "threads: cannot read 'abc' as int; lam must be at least 4, got 1.0",
+            ),
+            (
+                "fluctuation",
+                {"d": "2", "threads": "abc"},
+                "threads: cannot read 'abc' as int; d must lie in (0, 1], got 2.0",
+            ),
+            (
+                "separation",
+                {"L": "100", "M": "10", "threads": "0"},
+                "grid would need 12801 points, above the cap 8192; "
+                "threads must be an integer in [1, 64], got 0",
+            ),
+            ("fluctuation", {"K_list": "0, 0"}, "K_list needs a positive entry"),
+        ],
+    )
+    def test_every_problem_on_one_line(self, tmp_path, capsys, name, overrides, message):
+        out = tmp_path / "never.jsonl"
+        cfg = _write(tmp_path, _config_with(name, overrides))
+        assert main(["run", cfg, "--output", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
     def test_parameter_seed_and_thread_problems_reported_together(self, tmp_path, capsys):
         out = tmp_path / "never.jsonl"
         cfg = _write(tmp_path, "experiment = ordering\nseed = -1\nk = 9\nthreads = 0\n")
@@ -456,7 +524,7 @@ class TestRunAllScript:
 
     def test_raising_run_is_reported_and_the_rest_still_run(self, tmp_path, monkeypatch, capsys):
         def fail(p, seed, threads):
-            raise MixingDiagnosticFailure("near_touch_prob[t=1]", 0.02, 0.01)
+            raise ZeroHits("no qualifying samples")
 
         monkeypatch.setitem(
             REGISTRY, "ordering", dataclasses.replace(REGISTRY["ordering"], dispatch=fail)

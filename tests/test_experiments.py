@@ -182,6 +182,18 @@ class TestSeparationExperiment:
             tracemalloc.stop()
         assert peak / cfg.n_samples <= 6000, f"{peak / cfg.n_samples:.0f} bytes per sample"
 
+    def test_probability_above_one_fails_the_positivity_check(self, monkeypatch):
+        import gibbslines.experiments as experiments
+
+        def above_one(num, den, seed):
+            return McEstimate(mean=1.5, stderr=0.1, n_samples=num.n, seed=seed)
+
+        monkeypatch.setattr(experiments, "_ratio_estimate", above_one)
+        rep = run_separation_experiment(
+            SeparationConfig(k=1, L=1.0, t=100.0, M=1.0, n_samples=1500, seed=77)
+        )
+        assert not rep.check("endpoint_separation_positive")[0]
+
     def test_thread_count_validated(self):
         cfg = SeparationConfig(k=1, L=1.0, t=10.0, M=1.0, n_samples=100, seed=0)
         with pytest.raises(ValidationError):
@@ -313,7 +325,7 @@ class TestFluctuation:
             d=0.25, K_list=[0.0, 3.0], boundary_box=2.0, n_samples=400, seed=8
         )
         assert rep.estimate("big_fluctuation_prob[K=0]").mean == 1.0
-        assert rep.check("threshold_nesting_samplewise")[0]
+        assert rep.passed
 
     def test_validation(self):
         with pytest.raises(ValidationError):
