@@ -27,7 +27,7 @@ from .errors import InvalidInterval, NonPositiveArgument, ZeroHits
 
 INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 BARRIER_MC_BATCH = 20000  # bridges sampled at once by barrier_tail_mc
-OSCILLATION_BATCH = 5000  # bridges sampled at once by _sliding_range_sup
+OSCILLATION_BATCH = 1024  # bridges sampled at once by _sliding_range_sup
 
 
 def _check_interval(a: float, b: float):
@@ -70,9 +70,17 @@ def segment_log_survival(d0: np.ndarray, d1: np.ndarray, delta) -> np.ndarray:
     d0 = np.asarray(d0, dtype=np.float64)
     d1 = np.asarray(d1, dtype=np.float64)
     both_above = (d0 > 0) & (d1 > 0)
-    logc = segment_log_crossing(np.where(both_above, d0, 1.0), np.where(both_above, d1, 1.0), delta)
-    with np.errstate(divide="ignore"):
-        out = np.where(both_above, np.log1p(-np.exp(logc)), -np.inf)
+    # segment_log_crossing's float operations, in one buffer; cells with a gap
+    # <= 0 may overflow or go nan on the way and are overwritten at the end
+    out = np.empty(np.broadcast_shapes(d0.shape, d1.shape, np.shape(delta)))
+    with np.errstate(all="ignore"):
+        np.multiply(-2.0, d0, out=out)
+        np.multiply(out, d1, out=out)
+        np.divide(out, delta, out=out)
+        np.exp(out, out=out)
+        np.negative(out, out=out)
+        np.log1p(out, out=out)
+    np.copyto(out, -np.inf, where=~both_above)
     return out
 
 

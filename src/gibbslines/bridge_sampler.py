@@ -8,7 +8,9 @@ points for any (possibly nonuniform) strictly increasing point array.
 
 With r_j = b - u_j the step reads (v_{j+1} - y) / r_{j+1} = (v_j - y) / r_j
 + z_j sqrt((u_{j+1} - u_j) / (r_j r_{j+1})), so the whole walk is one
-cumulative sum of scaled normals.
+cumulative sum of scaled normals. On tall batches that sum is a sweep over the
+columns, each step one vectorised add across the rows: the same additions in
+the same order as a row-wise cumsum, so the same bits.
 """
 
 from __future__ import annotations
@@ -17,6 +19,14 @@ import numpy as np
 
 from .core import Curve, Grid, LineEnsemble
 from .errors import LengthMismatch
+
+# From this many rows on, bridge_batch sums column by column. numpy's
+# cumsum(axis=1) adds sequentially along each row and does not vectorise
+# across rows (about 2.4 ns per element); the column sweep pays a fixed cost
+# per column instead. Measured on a 2-core VM (numpy 2.4), the sweep wins from
+# 256-384 rows on for 17-513 grid points: 4000 x 127 takes 1232-1307 us by
+# cumsum against 327-447 us by sweep, 32 x 65 takes 7 us against 45 us.
+SWEEP_ROWS = 512
 
 
 def bridge_batch(points: np.ndarray, x, y, rng: np.random.Generator, size: int) -> np.ndarray:
@@ -36,7 +46,11 @@ def bridge_batch(points: np.ndarray, x, y, rng: np.random.Generator, size: int) 
         z = rng.standard_normal((size, n - 2))
         rem = pts[-1] - pts
         z *= np.sqrt(np.diff(pts)[:-1] / (rem[:-2] * rem[1:-1]))
-        np.cumsum(z, axis=1, out=z)
+        if size >= SWEEP_ROWS:
+            for j in range(1, n - 2):
+                np.add(z[:, j - 1], z[:, j], out=z[:, j])
+        else:
+            np.cumsum(z, axis=1, out=z)
         z += ((out[:, 0] - out[:, -1]) / rem[0])[:, None]
         z *= rem[1:-1]
         z += out[:, -1:]

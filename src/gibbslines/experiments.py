@@ -370,6 +370,9 @@ class _SeparationFrame:
         self.window = _block(self.window_spec(self.ext, self.ext), self.win_grid)
 
     def base_batch(self, m: int) -> np.ndarray:
+        """A fresh (m, k, n) batch of the constant extensions. Each proposal
+        draw rewrites every column of curve j's own interval and nothing
+        outside it, so one batch can take successive draws."""
         return np.broadcast_to(self.ext[None, :, None], (m, self.cfg.k, self.grid.n)).copy()
 
     def window_spec(self, x_vec: np.ndarray, y_vec: np.ndarray) -> ConditionalSpec:
@@ -377,7 +380,7 @@ class _SeparationFrame:
         return ConditionalSpec(1, self.cfg.k, (-self.cfg.L, self.cfg.L), bd, self.h)
 
 
-def _fill_bridges(frame: _SeparationFrame, batch: np.ndarray, j: int, anchors: dict, rng, m: int):
+def _fill_bridges(frame: _SeparationFrame, batch: np.ndarray, j: int, anchors: dict, rng):
     """Fill curve j of the batch with bridges from its left pin through the
     anchors ({grid point: values}, in increasing point order) to its right pin."""
     c = float(frame.ext[j])
@@ -385,19 +388,19 @@ def _fill_bridges(frame: _SeparationFrame, batch: np.ndarray, j: int, anchors: d
     stops.append((int(frame.ri[j]), c))
     i0, v0 = int(frame.li[j]), c
     for i1, v1 in stops:
-        batch[:, j, i0 : i1 + 1] = bridge_batch(frame.pts[i0 : i1 + 1], v0, v1, rng, m)
+        batch[:, j, i0 : i1 + 1] = bridge_batch(frame.pts[i0 : i1 + 1], v0, v1, rng, batch.shape[0])
         i0, v0 = i1, v1
 
 
-def _staggered_free_batch(frame: _SeparationFrame, m: int, rng) -> np.ndarray:
-    batch = frame.base_batch(m)
+def _staggered_free_batch(frame: _SeparationFrame, batch: np.ndarray, rng) -> np.ndarray:
     for j in range(frame.cfg.k):
-        _fill_bridges(frame, batch, j, {}, rng, m)
+        _fill_bridges(frame, batch, j, {}, rng)
     return batch
 
 
-def _band_proposal_batch(frame: _SeparationFrame, m: int, rng):
-    """Free staggered draws conditioned to the endpoint bands at -L and L.
+def _band_proposal_batch(frame: _SeparationFrame, batch: np.ndarray, rng):
+    """Free staggered draws, into a base batch, conditioned to the endpoint
+    bands at -L and L.
 
     The two window-edge values of each curve are drawn from exact bridge
     conditionals truncated to the curve's band; interiors stay free bridges.
@@ -406,7 +409,7 @@ def _band_proposal_batch(frame: _SeparationFrame, m: int, rng):
     """
     cfg = frame.cfg
     L = cfg.L
-    batch = frame.base_batch(m)
+    m = batch.shape[0]
     anchors = np.empty((m, cfg.k, 2))
     log_mass = np.zeros(m)
     for j in range(cfg.k):
@@ -416,7 +419,7 @@ def _band_proposal_batch(frame: _SeparationFrame, m: int, rng):
         v1, v2, lm = _anchor_pair(c, c, (lj, rj), -L, L, lo, hi, m, rng)
         log_mass += lm
         anchors[:, j, 0], anchors[:, j, 1] = v1, v2
-        _fill_bridges(frame, batch, j, {-L: v1, L: v2}, rng, m)
+        _fill_bridges(frame, batch, j, {-L: v1, L: v2}, rng)
     return batch, anchors, log_mass
 
 
@@ -528,8 +531,9 @@ def _channel_anchor(mu, sd, lo: float, hi: float, rng, m: int):
     return v, log_phi - log_q
 
 
-def _channel_proposal_batch(frame: _SeparationFrame, m: int, rng, lo_vec, hi_vec):
-    """Free staggered draws with anchors pushed into a channel per curve.
+def _channel_proposal_batch(frame: _SeparationFrame, batch: np.ndarray, rng, lo_vec, hi_vec):
+    """Free staggered draws, into a base batch, with anchors pushed into a
+    channel per curve.
 
     The anchor points of curve j are the nested interval endpoints inside its
     next narrower interval. The outermost pair is conditioned on the pins far
@@ -546,7 +550,7 @@ def _channel_proposal_batch(frame: _SeparationFrame, m: int, rng, lo_vec, hi_vec
     Returns (batch, log_ratio).
     """
     cfg = frame.cfg
-    batch = frame.base_batch(m)
+    m = batch.shape[0]
     log_ratio = np.zeros(m)
     for j in range(cfg.k):
         c = float(frame.ext[j])
@@ -567,7 +571,7 @@ def _channel_proposal_batch(frame: _SeparationFrame, m: int, rng, lo_vec, hi_vec
             mu_sd = _bridge_point(prev, values[prev], p, p_last, v_last)
             values[p], lm = _band_draw(*mu_sd, lo, hi, rng, m)
             log_ratio += lm
-        _fill_bridges(frame, batch, j, values, rng, m)
+        _fill_bridges(frame, batch, j, values, rng)
     return batch, log_ratio
 
 
@@ -588,22 +592,23 @@ def run_separation_experiment(cfg: SeparationConfig, threads: int = 1) -> Experi
     frame = _SeparationFrame(cfg)
     no_ceiling = np.full(cfg.k, np.inf)
 
-    def channel_log_weights(m, rng, lo_vec, hi_vec):
-        batch, lmass = _channel_proposal_batch(frame, m, rng, lo_vec, hi_vec)
+    def channel_log_weights(batch, rng, lo_vec, hi_vec):
+        _, lmass = _channel_proposal_batch(frame, batch, rng, lo_vec, hi_vec)
         factor = _channel_log_factor(frame, batch, lo_vec, hi_vec)
         return lmass + frame.off_window.log_weights(batch) + factor, factor
 
-    # each (m, k, n) proposal batch dies once its log weight is taken, so at
-    # most one is alive at a time; the draw order is free, sep, banded, raised
+    # each proposal is done with once its log weight is taken, so the four
+    # draws (free, sep, banded, raised, in that order) share one (m, k, n)
+    # batch per shard; it lives here, not on the frame, since shards run on threads
     def shard(m, rng):
-        lw_free = frame.off_window.log_weights(_staggered_free_batch(frame, m, rng))
+        batch = frame.base_batch(m)
+        lw_free = frame.off_window.log_weights(_staggered_free_batch(frame, batch, rng))
         # endpoint event: window-edge anchors in band, nothing else conditioned,
         # so the proposal support is exactly the event and no indicator appears
-        sep, _, lmass_e = _band_proposal_batch(frame, m, rng)
-        lw_sep = lmass_e + frame.off_window.log_weights(sep)
-        del sep
-        lw_banded, band_factor = channel_log_weights(m, rng, frame.band_lo, frame.band_hi)
-        lw_raised, _ = channel_log_weights(m, rng, frame.raise_lv, no_ceiling)
+        _, _, lmass_e = _band_proposal_batch(frame, batch, rng)
+        lw_sep = lmass_e + frame.off_window.log_weights(batch)
+        lw_banded, band_factor = channel_log_weights(batch, rng, frame.band_lo, frame.band_hi)
+        lw_raised, _ = channel_log_weights(batch, rng, frame.raise_lv, no_ceiling)
         # log factors never exceed 0 and every banded-proposal sample has its
         # window-edge anchors in band, hence realizes the endpoint event
         violations = int(np.sum(band_factor > 1e-12))
@@ -691,7 +696,7 @@ def run_z_lowerbound_experiment(cfg: SeparationConfig, threads: int = 1) -> Expe
     frac = np.linspace(0.0, 1.0, frame.win_grid.n)
 
     def shard(m, rng):
-        batch, anchors, lmass = _band_proposal_batch(frame, m, rng)
+        batch, anchors, lmass = _band_proposal_batch(frame, frame.base_batch(m), rng)
         lw = lmass + frame.off_window.log_weights(batch)
         spec = frame.window_spec(anchors[:, :, 0], anchors[:, :, 1])
         z = estimate_Z(spec, frame.win_grid, n=n_inner, seed=int(rng.integers(2**62)))

@@ -191,6 +191,14 @@ class TestOscillation:
             assert 0.0 < est.mean < 1.0
             assert est == McEstimate.from_samples(hits, seed)
 
+    def test_sups_do_not_depend_on_the_batch_size(self, monkeypatch):
+        # bridge_batch draws its normals row-major, so row chunks keep the stream
+        args = (0.25, 3000, 12, 65, 0.3, -0.2, (-1.0, 1.0))
+        ref = _sliding_range_sup(*args).tobytes()
+        for batch in (7, 1000, 5000):
+            monkeypatch.setattr("gibbslines.bridge_analytics.OSCILLATION_BATCH", batch)
+            assert _sliding_range_sup(*args).tobytes() == ref
+
 
 class TestDecayFit:
     def test_known_fit(self):

@@ -5,6 +5,7 @@ import pytest
 from scipy import stats
 
 from gibbslines.bridge_sampler import (
+    SWEEP_ROWS,
     bridge_batch,
     free_ensemble_batch,
     sample_bridge,
@@ -111,8 +112,15 @@ def _column_recurrence(points, x, y, rng, size):
         (np.cumsum(np.random.default_rng(1).uniform(0.01, 0.2, 50)), 0.0, 2.0, 100),
         (np.array([0.0, 0.25, 1.0]), -1.0, 0.5, 10),
         (np.linspace(0.0, 1.0, 17), np.arange(5.0), -np.arange(5.0), 5),
+        (np.linspace(0.0, 1.0, 65), 0.3, -0.2, SWEEP_ROWS),
+        (np.cumsum(np.random.default_rng(2).uniform(0.01, 0.2, 40)), 1.0, -1.0, SWEEP_ROWS + 37),
+        (np.linspace(0.0, 1.0, 9), np.linspace(-1, 1, 600), np.linspace(2, 0, 600), 600),
+        (np.array([0.0, 0.25, 1.0]), -1.0, 0.5, SWEEP_ROWS),
     ],
-    ids=["uniform", "uniform-129", "nonuniform", "three-point", "per-row"],
+    ids=[
+        "uniform", "uniform-129", "nonuniform", "three-point", "per-row",
+        "uniform-sweep", "nonuniform-sweep", "per-row-sweep", "three-point-sweep",
+    ],
 )
 def test_matches_column_recurrence(pts, x, y, size):
     rng, rng_ref = np.random.default_rng(17), np.random.default_rng(17)
@@ -123,6 +131,33 @@ def test_matches_column_recurrence(pts, x, y, size):
     assert np.array_equal(vals[:, -1], np.broadcast_to(y, (size,)))
     # both consumed the same normals: the generators are in the same state
     assert rng.random() == rng_ref.random()
+
+
+def _cumsum_formula(points, x, y, rng, size):
+    """Reference: the walk as one row-wise np.cumsum of the scaled normals."""
+    pts = np.asarray(points, dtype=np.float64)
+    out = np.empty((size, pts.shape[0]))
+    out[:, 0] = x
+    out[:, -1] = y
+    rem = pts[-1] - pts
+    z = rng.standard_normal((size, pts.shape[0] - 2))
+    z *= np.sqrt(np.diff(pts)[:-1] / (rem[:-2] * rem[1:-1]))
+    z = np.cumsum(z, axis=1)
+    z += ((out[:, 0] - out[:, -1]) / rem[0])[:, None]
+    z *= rem[1:-1]
+    z += out[:, -1:]
+    out[:, 1:-1] = z
+    return out
+
+
+@pytest.mark.parametrize("size", [SWEEP_ROWS - 1, SWEEP_ROWS])
+@pytest.mark.parametrize("n", [4, 33, 129])
+def test_column_sweep_is_bitwise_the_cumsum(size, n):
+    # both sides of the threshold: the sweep makes the cumsum's additions in its order
+    pts = np.cumsum(np.random.default_rng(n).uniform(0.01, 0.2, n))
+    x, y = np.linspace(-1.0, 1.0, size), 0.5
+    got = bridge_batch(pts, x, y, np.random.default_rng(size), size)
+    assert np.array_equal(got, _cumsum_formula(pts, x, y, np.random.default_rng(size), size))
 
 
 def test_too_few_points_rejected():

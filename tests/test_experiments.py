@@ -20,11 +20,13 @@ from gibbslines.experiments import (
     _band_draw,
     _band_proposal_batch,
     _channel_log_factor,
+    _channel_proposal_batch,
     _gamma_tilted_log_pdf,
     _run_shards,
     _shard_counts,
     _sine_tilted_height,
     _sine_tilted_log_pdf,
+    _staggered_free_batch,
     estimate_excursion_probability,
     run_excursion_experiment,
     run_fluctuation_experiment,
@@ -224,7 +226,7 @@ class TestSeparationFrame:
     @pytest.mark.parametrize("k, t", [(1, 1000.0), (2, 100.0), (3, 8.0)])
     def test_window_weights_match_per_sample_weights(self, k, t):
         frame = _SeparationFrame(SeparationConfig(k=k, L=1.0, t=t, M=1.0, n_samples=10, seed=0))
-        batch, anchors, _ = _band_proposal_batch(frame, 40, np.random.default_rng(k))
+        batch, anchors, _ = _band_proposal_batch(frame, frame.base_batch(40), np.random.default_rng(k))
         window = batch[:, :, frame.iwl : frame.iwr + 1]
         expected = [
             log_boltzmann_weight(
@@ -236,6 +238,30 @@ class TestSeparationFrame:
         got = frame.window.log_weights(window)
         assert np.array_equal(got, expected)
         assert np.unique(got).size > 1
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_one_reused_batch_gives_the_fresh_batch_draws(self, k):
+        # the separation runner draws its four proposals into one batch in turn
+        frame = _SeparationFrame(SeparationConfig(k=k, L=1.0, t=100.0, M=1.0, n_samples=10, seed=0))
+        no_ceiling = np.full(k, np.inf)
+
+        def draws(batch_for, rng):
+            out = []
+            batch = _staggered_free_batch(frame, batch_for(), rng)
+            out.append((batch.copy(), frame.off_window.log_weights(batch)))
+            batch, anchors, lmass = _band_proposal_batch(frame, batch_for(), rng)
+            out.append((batch.copy(), anchors, lmass, frame.off_window.log_weights(batch)))
+            for lo, hi in ((frame.band_lo, frame.band_hi), (frame.raise_lv, no_ceiling)):
+                batch, lratio = _channel_proposal_batch(frame, batch_for(), rng, lo, hi)
+                out.append((batch.copy(), lratio, frame.off_window.log_weights(batch)))
+            return out
+
+        shared = frame.base_batch(64)
+        reused = draws(lambda: shared, np.random.default_rng(k))
+        fresh = draws(lambda: frame.base_batch(64), np.random.default_rng(k))
+        for got, expected in zip(reused, fresh, strict=True):
+            for a, b in zip(got, expected, strict=True):
+                assert np.array_equal(a, b)
 
 
 class TestZLowerBound:
