@@ -16,17 +16,7 @@ every file or row present on one side only. Exit status is 1 if anything is list
 import argparse
 import json
 import math
-import re
 from pathlib import Path
-
-# the report writer prints non-finite reals bare (inf, -inf, nan)
-_NON_FINITE = re.compile(r"(?<=: )(-?)(inf|nan)\b")
-
-
-def _parse_line(line: str) -> dict:
-    return json.loads(
-        _NON_FINITE.sub(lambda m: m.group(1) + ("Infinity" if m.group(2) == "inf" else "NaN"), line)
-    )
 
 
 def read_report(path: Path) -> dict:
@@ -34,7 +24,11 @@ def read_report(path: Path) -> dict:
     rows = {}
     for line in path.read_text().splitlines():
         if line.strip():
-            row = _parse_line(line)
+            row = json.loads(line)
+            # non-finite reals come as the strings "inf", "-inf" and "nan"
+            for key in ("mean", "stderr"):
+                if key in row:
+                    row[key] = float(row[key])
             rows[(row["kind"], row["label"])] = row
     return rows
 

@@ -2,8 +2,9 @@
 
 Reports are deterministic for a given (config, seed) at threads = 1: reals are
 fixed to 17 significant digits, row order follows the experiment, and nothing
-time-dependent goes into the file. Wall time and other diagnostics go to
-standard error instead.
+time-dependent goes into the file. JSON has no number for a non-finite real,
+so json-lines writes those as the strings "inf", "-inf" and "nan". Wall time
+and other diagnostics go to standard error instead.
 
 Exit codes: 0 all checks passed, 1 the run finished but a check failed,
 2 configuration or execution error.
@@ -65,12 +66,13 @@ def render_json_lines(rows: list) -> str:
     out = []
     for row in rows:
         # numbers and true/false are already fixed-precision JSON text in the
-        # rows, so they go in bare; json.dumps would re-render reals with repr
-        parts = [
-            f'"{key}": {row[key] if key in _BARE_JSON else json.dumps(row[key])}'
-            for key in _FIELDS
-            if key in row
-        ]
+        # rows, so they go in bare (json.dumps would re-render reals with
+        # repr); a non-finite real has no JSON number and goes in quoted
+        parts = []
+        for key in _FIELDS:
+            if key in row:
+                bare = key in _BARE_JSON and row[key] not in ("inf", "-inf", "nan")
+                parts.append(f'"{key}": {row[key] if bare else json.dumps(row[key])}')
         out.append("{" + ", ".join(parts) + "}")
     return "\n".join(out) + "\n"
 

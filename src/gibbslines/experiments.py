@@ -302,13 +302,8 @@ def _separation_problems(k, L, t, M, n_samples, seed) -> list[str]:
 
 @dataclass(frozen=True)
 class SeparationConfig:
-    """Geometry and budget for the staggered nested-interval experiments.
-
-    Curves j = 1..k live on intervals [-(k+2-j) L, (k+2-j) L]; the innermost
-    interval (-L, L) is the resampling window whose complement carries the
-    off-window Boltzmann weight. The endpoint band for curve j is
-    [(4k-4j+3) M, (4k-4j+5) M], so lower-indexed curves sit higher.
-    """
+    """Parameters and budget of the staggered nested-interval experiments;
+    _SeparationFrame lays out their geometry."""
 
     k: int
     L: float
@@ -320,36 +315,26 @@ class SeparationConfig:
     def __post_init__(self):
         _raise_problems(_separation_problems(self.k, self.L, self.t, self.M, self.n_samples, self.seed))
 
-    def left_ends(self) -> np.ndarray:
-        j = np.arange(1, self.k + 2)
-        return -(self.k + 2 - j) * self.L
-
-    def right_ends(self) -> np.ndarray:
-        return -self.left_ends()
-
-    def band(self, j: int) -> tuple[float, float]:
-        base = 4 * self.k - 4 * j
-        return ((base + 3) * self.M, (base + 5) * self.M)
-
-    def raise_level(self, j: int) -> float:
-        return (4 * self.k - 4 * j + 4) * self.M
-
-    def build_grid(self) -> Grid:
-        half = (self.k + 1) * self.L
-        return Grid(-half, half, _separation_grid_points(self.k, self.L))
-
 
 class _SeparationFrame:
-    """Precomputed grid indices, event levels and the two weighed blocks of
-    one config: `off_window` on the full grid, `window` on the window grid."""
+    """The staggered geometry of one config, computed once, and its weights.
+
+    Curves j = 1..k live on intervals [left[j-1], right[j-1]] =
+    [-(k+2-j) L, (k+2-j) L]; the innermost ends (-L, L) bound the resampling
+    window. The endpoint band for curve j is [(4k-4j+3) M, (4k-4j+5) M], so
+    lower-indexed curves sit higher, and its raise level is (4k-4j+4) M.
+    The off-window weight covers the widest interval minus the window: two
+    blocks, `off_window`, summed by off_window_log_weights. `window` weighs
+    the window grid.
+    """
 
     def __init__(self, cfg: SeparationConfig):
         self.cfg = cfg
         k, L, M = cfg.k, cfg.L, cfg.M
-        self.grid = cfg.build_grid()
+        self.grid = Grid(-(k + 1) * L, (k + 1) * L, _separation_grid_points(k, L))
         self.pts = self.grid.points
-        self.left = cfg.left_ends()
-        self.right = cfg.right_ends()
+        self.right = (k + 1 - np.arange(k + 1)) * L
+        self.left = -self.right
         self.li = np.array([self.grid.index_of(float(v)) for v in self.left])
         self.ri = np.array([self.grid.index_of(float(v)) for v in self.right])
         self.iwl = int(self.li[-1])
@@ -357,17 +342,26 @@ class _SeparationFrame:
         # staggered constant extensions, all inside [-M, M], strictly decreasing
         self.ext = np.array([M * (1.0 - 2.0 * j / k) for j in range(k)])
         self.floor_vals = np.clip(-0.5 * self.pts**2, -M, M)
-        self.band_lo = np.array([cfg.band(j)[0] for j in range(1, k + 1)])
-        self.band_hi = np.array([cfg.band(j)[1] for j in range(1, k + 1)])
-        self.raise_lv = np.array([cfg.raise_level(j) for j in range(1, k + 1)])
+        base = 4 * (k - np.arange(1, k + 1))
+        self.band_lo = (base + 3) * M
+        self.band_hi = (base + 5) * M
+        self.raise_lv = (base + 4) * M
         self.h = ScaledExpHamiltonian(cfg.t)
+        # a weight ignores entrance/exit values: any spec's block serves
         bd = BoundaryData(self.ext, self.ext, PLUS_INF, Curve(self.grid, self.floor_vals))
-        interval = (float(self.left[0]), float(self.right[0]))
-        self.off_window = _block(ConditionalSpec(1, k, interval, bd, self.h, window=(-L, L)), self.grid)
+        self.off_window = tuple(
+            _block(ConditionalSpec(1, k, (float(a), float(b)), bd, self.h), self.grid)
+            for a, b in ((self.left[0], self.left[-1]), (self.right[-1], self.right[0]))
+        )
         self.win_grid = Grid(-L, L, self.iwr - self.iwl + 1)
         self.win_floor = Curve(self.win_grid, self.floor_vals[self.iwl : self.iwr + 1])
-        # the window weight ignores entrance/exit values: any spec's block serves
         self.window = _block(self.window_spec(self.ext, self.ext), self.win_grid)
+
+    def off_window_log_weights(self, batch: np.ndarray) -> np.ndarray:
+        """Log weight off the window of each ensemble of an (m, k, n) batch:
+        the sum of the two pieces' block weights."""
+        left, right = self.off_window
+        return left.log_weights(batch[..., left.span]) + right.log_weights(batch[..., right.span])
 
     def base_batch(self, m: int) -> np.ndarray:
         """A fresh (m, k, n) batch of the constant extensions. Each proposal
@@ -595,18 +589,18 @@ def run_separation_experiment(cfg: SeparationConfig, threads: int = 1) -> Experi
     def channel_log_weights(batch, rng, lo_vec, hi_vec):
         _, lmass = _channel_proposal_batch(frame, batch, rng, lo_vec, hi_vec)
         factor = _channel_log_factor(frame, batch, lo_vec, hi_vec)
-        return lmass + frame.off_window.log_weights(batch) + factor, factor
+        return lmass + frame.off_window_log_weights(batch) + factor, factor
 
     # each proposal is done with once its log weight is taken, so the four
     # draws (free, sep, banded, raised, in that order) share one (m, k, n)
     # batch per shard; it lives here, not on the frame, since shards run on threads
     def shard(m, rng):
         batch = frame.base_batch(m)
-        lw_free = frame.off_window.log_weights(_staggered_free_batch(frame, batch, rng))
+        lw_free = frame.off_window_log_weights(_staggered_free_batch(frame, batch, rng))
         # endpoint event: window-edge anchors in band, nothing else conditioned,
         # so the proposal support is exactly the event and no indicator appears
         _, _, lmass_e = _band_proposal_batch(frame, batch, rng)
-        lw_sep = lmass_e + frame.off_window.log_weights(batch)
+        lw_sep = lmass_e + frame.off_window_log_weights(batch)
         lw_banded, band_factor = channel_log_weights(batch, rng, frame.band_lo, frame.band_hi)
         lw_raised, _ = channel_log_weights(batch, rng, frame.raise_lv, no_ceiling)
         # log factors never exceed 0 and every banded-proposal sample has its
@@ -697,7 +691,7 @@ def run_z_lowerbound_experiment(cfg: SeparationConfig, threads: int = 1) -> Expe
 
     def shard(m, rng):
         batch, anchors, lmass = _band_proposal_batch(frame, frame.base_batch(m), rng)
-        lw = lmass + frame.off_window.log_weights(batch)
+        lw = lmass + frame.off_window_log_weights(batch)
         spec = frame.window_spec(anchors[:, :, 0], anchors[:, :, 1])
         z = estimate_Z(spec, frame.win_grid, n=n_inner, seed=int(rng.integers(2**62)))
         window = batch[:, :, frame.iwl : frame.iwr + 1]

@@ -10,17 +10,14 @@ where the pair sum runs over (upper boundary, curve 1), all adjacent curve
 pairs, and (curve k, lower boundary); infinite sentinels drop their term.
 W lies in (0, 1] and Z = E_free[W] normalizes the conditional law.
 
-The off-window variant integrates only over [a, a'] union [b', b]; it is used
-by estimators that leave the middle window unweighted.
-
 Every weight goes through one prepared block, _block(spec, grid), built once
 per (spec, grid): the interval's grid indices and points, the boundary rows
-with sentinels filled in, the weighted column ranges and H. Its log_weights
-is the only weight evaluator; log_boltzmann_weight, estimate_Z, the exact
-samplers and the separation runners all call it. It evaluates H only on the
-pairs and columns that carry weight: a sentinel pair (its gap is -inf, and
-H(-inf) = 0) is never formed, and the unweighted window columns of an
-off-window weight are never read.
+with sentinels filled in, and H. A block always weighs its whole interval.
+Its log_weights is the only weight evaluator; log_boltzmann_weight,
+estimate_Z, the exact samplers and the separation runners all call it (a
+weight over several intervals is the sum of their blocks' weights). It
+evaluates H only on the pairs that carry weight: a sentinel pair (its gap is
+-inf, and H(-inf) = 0) is never formed.
 
 The hard wall stands for continuum non-crossing: its one weight is the exact
 probability that bridges through the grid values never cross, free of the grid
@@ -34,7 +31,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Optional
+from typing import NamedTuple
 
 import numpy as np
 from scipy.special import log_ndtr, ndtri_exp
@@ -61,19 +58,19 @@ from .errors import (
 
 Z_BATCH = 1024  # candidate curves estimate_Z weighs at once; larger chunks measured slower
 CANDIDATE_BATCH = 32  # free candidates per round of sample_conditional_batch
+REJECTION_BUDGET = 10**6  # candidates per draw before the exact samplers give up
 
 
 @dataclass(frozen=True)
 class ConditionalSpec:
     """Everything defining one conditional block: curve range, interval,
-    boundary data, Hamiltonian, and an optional unweighted middle window."""
+    boundary data and Hamiltonian."""
 
     k1: int
     k2: int
     interval: tuple[float, float]
     boundary: BoundaryData
     hamiltonian: Hamiltonian
-    window: Optional[tuple[float, float]] = None
 
     def __post_init__(self):
         if self.k1 < 1 or self.k2 < self.k1:
@@ -85,12 +82,6 @@ class ConditionalSpec:
         a, b = self.interval
         if not b > a:
             raise InvalidInterval(f"interval must satisfy a < b, got {self.interval}")
-        if self.window is not None:
-            ap, bp = self.window
-            if not (a < ap < bp < b):
-                raise InvalidInterval(
-                    f"window {self.window} must sit strictly inside {self.interval}"
-                )
 
     @property
     def n_curves(self) -> int:
@@ -128,16 +119,14 @@ class _Block(NamedTuple):
     """One conditional block prepared on one grid; the only weight evaluator.
 
     span holds the interval's grid indices and pts its m grid points; upper
-    and lower are the boundary rows on pts, sentinels filled in; columns are
-    the (j0, j1) index ranges into pts that carry weight: the whole interval,
-    or the two pieces off the spec's window.
+    and lower are the boundary rows on pts, sentinels filled in. The weight
+    covers the whole interval.
     """
 
     span: slice
     pts: np.ndarray
     upper: np.ndarray
     lower: np.ndarray
-    columns: tuple
     h: Hamiltonian
 
     def log_weights(self, batch: np.ndarray) -> np.ndarray:
@@ -146,29 +135,25 @@ class _Block(NamedTuple):
         The hard wall takes the exact per-segment non-crossing log
         probabilities of every weighted pair, a segment's variance being its
         length times the pair's sigma2. Any other H is evaluated only on the
-        weighted pairs and columns: per column range the pairs' H rows are
-        summed in order and get their own trapezoid, so the result is bitwise
-        that of the full-stack formula.
+        weighted pairs: their H rows are summed in order and get one
+        trapezoid, so the result is bitwise that of the full-stack formula.
         """
         pairs = _weighted_pairs(batch, self.upper, self.lower)
         total = np.zeros(batch.shape[0])
         if isinstance(self.h, OrderedHamiltonian):
             dt = np.diff(self.pts)
             for above, below, sigma2 in pairs:
-                for j0, j1 in self.columns:
-                    d = above[..., j0 : j1 + 1] - below[..., j0 : j1 + 1]  # positive where ordered
-                    total += segment_log_survival(d[:, :-1], d[:, 1:], sigma2 * dt[j0:j1]).sum(axis=1)
+                d = above - below  # positive where ordered
+                total += segment_log_survival(d[:, :-1], d[:, 1:], sigma2 * dt).sum(axis=1)
             return total
         if not pairs:
             return -total
-        for j0, j1 in self.columns:
-            # gap convention: lower row minus upper row; ordered configurations are negative
-            gaps = np.empty((batch.shape[0], len(pairs), j1 + 1 - j0))
-            for p, (above, below, _) in enumerate(pairs):
-                np.subtract(below[..., j0 : j1 + 1], above[..., j0 : j1 + 1], out=gaps[:, p])
-            integrand = self.h.integrand(gaps).sum(axis=1)
-            total += np.trapezoid(integrand, x=self.pts[j0 : j1 + 1], axis=1)
-        return -total
+        # gap convention: lower row minus upper row; ordered configurations are negative
+        gaps = np.empty((batch.shape[0], len(pairs), self.pts.shape[0]))
+        for p, (above, below, _) in enumerate(pairs):
+            np.subtract(below, above, out=gaps[:, p])
+        integrand = self.h.integrand(gaps).sum(axis=1)
+        return -np.trapezoid(integrand, x=self.pts, axis=1)
 
 
 def _block(spec: ConditionalSpec, grid: Grid) -> _Block:
@@ -177,11 +162,7 @@ def _block(spec: ConditionalSpec, grid: Grid) -> _Block:
         raise InvalidInterval("interval spans fewer than two grid points")
     upper = boundary_values(spec.boundary.upper, grid, ia, ib)
     lower = boundary_values(spec.boundary.lower, grid, ia, ib)
-    columns = ((0, ib - ia),)
-    if spec.window is not None:
-        ja, jb = (grid.index_of(v) - ia for v in spec.window)
-        columns = ((0, ja), (jb, ib - ia))
-    return _Block(slice(ia, ib + 1), grid.points[ia : ib + 1], upper, lower, columns, spec.hamiltonian)
+    return _Block(slice(ia, ib + 1), grid.points[ia : ib + 1], upper, lower, spec.hamiltonian)
 
 
 def _free_candidates(pts: np.ndarray, boundary: BoundaryData, rows: np.ndarray, rng) -> np.ndarray:
@@ -197,8 +178,9 @@ def log_boltzmann_weight(ens: LineEnsemble, spec: ConditionalSpec) -> float:
     """Log weight of one ensemble; 0 means weight 1, -inf means forbidden.
 
     It is the one weight that estimate_Z averages. The ensemble must hold
-    exactly the block curves on `spec.interval` (its grid spans that
-    interval, boundary curves live on the same grid).
+    exactly the block curves, on a grid with the ends of `spec.interval` as
+    grid points (boundary curves live on the same grid); the weight reads
+    the interval's columns only.
     """
     if ens.k != spec.n_curves:
         raise LengthMismatch(f"ensemble has {ens.k} curves, spec wants {spec.n_curves}")
@@ -230,7 +212,6 @@ def sample_conditional_batch(
     grid: Grid,
     rng: np.random.Generator,
     n: int,
-    budget: int = 10**6,
 ) -> tuple[np.ndarray, np.ndarray]:
     """n independent exact conditional draws; returns (curves, attempts).
 
@@ -240,7 +221,7 @@ def sample_conditional_batch(
     log weight lw is accepted when log U <= lw, and a draw takes its first
     accepted one. attempts[i] counts the candidates drawn for draw i, i.i.d.
     geometric with mean 1/Z_i. All pending draws have spent the same count; at
-    `budget` the call raises instead of looping forever.
+    REJECTION_BUDGET the call raises instead of looping forever.
     """
     blk = _block(spec, grid)
     rows_shape = spec.boundary.x_vec.shape
@@ -251,10 +232,10 @@ def sample_conditional_batch(
     pending = np.arange(n)
     spent = 0  # candidates drawn by each pending draw
     while pending.size:
-        if spent >= budget:
-            raise RejectionBudgetExhausted(budget, f"block {spec.k1}..{spec.k2} on {spec.interval}")
+        if spent >= REJECTION_BUDGET:
+            raise RejectionBudgetExhausted(REJECTION_BUDGET, f"block {spec.k1}..{spec.k2} on {spec.interval}")
         p = pending.size
-        c = min(-(-CANDIDATE_BATCH // p), budget - spent)
+        c = min(-(-CANDIDATE_BATCH // p), REJECTION_BUDGET - spent)
         rows = np.repeat(pending, c)  # entrance/exit row of each candidate
         cand = _free_candidates(blk.pts, spec.boundary, rows, rng)
         accepted = (np.log(rng.random(p * c)) <= blk.log_weights(cand)).reshape(p, c)
@@ -271,14 +252,13 @@ def sample_conditional(
     spec: ConditionalSpec,
     grid: Grid,
     rng: np.random.Generator,
-    budget: int = 10**6,
 ) -> tuple[LineEnsemble, int]:
     """One exact conditional draw; returns (block, attempts).
 
     The n = 1 case of sample_conditional_batch: the attempt count is geometric
-    with mean 1/Z, so tiny normalizers exhaust the budget and raise.
+    with mean 1/Z, so tiny normalizers exhaust REJECTION_BUDGET and raise.
     """
-    curves, attempts = sample_conditional_batch(spec, grid, rng, 1, budget=budget)
+    curves, attempts = sample_conditional_batch(spec, grid, rng, 1)
     a, b = spec.interval
     return LineEnsemble(Grid(float(a), float(b), curves.shape[2]), curves[0]), int(attempts[0])
 
@@ -656,7 +636,15 @@ def _site_draw(mu, sigma, above, below, trap, h, u, work):
     above LATTICE_POINTS, one call for all states. Each draw is nondecreasing
     in its mean, its neighbours and u, and on the shared lattice the states'
     densities keep their likelihood-ratio order, so a pair ordered in its
-    inputs stays ordered; the final max only absorbs ulp-level rounding.
+    inputs stays ordered in exact arithmetic; the final max absorbs rounding.
+    The hard wall's draws cross by a few ulps of the value at most. A soft
+    draw inverts a CDF summed from up to LATTICE_POINTS - 1 cell masses and
+    divided by their total, off by up to about 2 LATTICE_POINTS eps in
+    probability (eps the machine epsilon); that moves a draw v by up to
+    2 LATTICE_POINTS eps / f(v), f the state's site density. Two soft states
+    may so cross by 2 LATTICE_POINTS eps (1/f_lo + 1/f_hi), which is no
+    ulp-level amount near v = 0 or in the tails: measured at most 48 eps
+    (1/f_lo + 1/f_hi), e.g. 4.7e-15 at v = 0.002, 13,000 ulps of v.
     """
     if isinstance(h, OrderedHamiltonian):
         draws = _truncated_gaussian(mu, sigma, below, above, u)[0]

@@ -543,18 +543,19 @@ class TestRunAllScript:
 class TestCompareReportsScript:
     @staticmethod
     def _write_report(path, estimates, checks):
-        lines = ['{"kind": "meta", "label": "experiment", "detail": "demo"}']
-        lines += [
-            f'{{"kind": "estimate", "label": "{label}", "mean": {mean:.17g}, '
-            f'"stderr": {se:.17g}, "n_samples": 100, "seed": 0}}'
+        # rows as report_rows builds them, written by the report writer
+        rows = [{"kind": "meta", "label": "experiment", "detail": "demo"}]
+        rows += [
+            {"kind": "estimate", "label": label, "mean": format_value("real", mean),
+             "stderr": format_value("real", se), "n_samples": "100", "seed": "0"}
             for label, mean, se in estimates
         ]
-        lines += [
-            f'{{"kind": "check", "label": "{label}", "passed": {str(ok).lower()}, "detail": ""}}'
+        rows += [
+            {"kind": "check", "label": label, "passed": str(ok).lower(), "detail": ""}
             for label, ok in checks
         ]
         path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text("\n".join(lines) + "\n")
+        path.write_text(render_json_lines(rows))
 
     def test_reports_changes_and_passes_without_problems(self, tmp_path, capsys):
         module = _load_script("compare_reports")
@@ -565,6 +566,27 @@ class TestCompareReportsScript:
         # rel mean 0.01/0.5, rel stderr 0.01/0.01, |z| 0.01/hypot(0.01, 0.02)
         z = 0.01 / math.hypot(0.01, 0.02)
         assert line == f"a.jsonl: max rel mean 0.02, max rel stderr 1, max |z| {z:.3g}"
+
+    def test_non_finite_reals_round_trip(self, tmp_path, capsys):
+        # every written line is JSON; non-finite reals are strings there and
+        # floats again in the comparison
+        module = _load_script("compare_reports")
+        estimates = [("up", math.inf, 0.0), ("down", -math.inf, math.nan), ("p", 0.5, 0.01)]
+        for side in ("old", "new"):
+            self._write_report(tmp_path / side / "a.jsonl", estimates, [])
+        path = tmp_path / "old" / "a.jsonl"
+        lines = [json.loads(line) for line in path.read_text().splitlines()]
+        assert [(row["mean"], row["stderr"]) for row in lines[1:]] == [
+            ("inf", 0), ("-inf", "nan"), (0.5, 0.01)
+        ]
+        rows = module.read_report(path)
+        assert rows[("estimate", "up")]["mean"] == math.inf
+        assert rows[("estimate", "down")]["mean"] == -math.inf
+        assert math.isnan(rows[("estimate", "down")]["stderr"])
+        assert module.main([str(tmp_path / "old"), str(tmp_path / "new")]) == 0
+        assert capsys.readouterr().out.splitlines()[0] == (
+            "a.jsonl: max rel mean 0, max rel stderr 0, max |z| 0"
+        )
 
     def test_flags_flips_and_one_sided_rows_and_files(self, tmp_path, capsys):
         module = _load_script("compare_reports")

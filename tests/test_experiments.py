@@ -5,7 +5,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gibbslines.core import LineEnsemble, McEstimate
+from gibbslines.core import (
+    PLUS_INF,
+    BoundaryData,
+    Curve,
+    LineEnsemble,
+    McEstimate,
+    ScaledExpHamiltonian,
+)
 from gibbslines.errors import (
     EffectiveSampleSizeTooSmall,
     ValidationError,
@@ -34,7 +41,7 @@ from gibbslines.experiments import (
     run_separation_experiment,
     run_z_lowerbound_experiment,
 )
-from gibbslines.gibbs import _truncated_gaussian, log_boltzmann_weight
+from gibbslines.gibbs import ConditionalSpec, _block, _truncated_gaussian, log_boltzmann_weight
 
 
 @pytest.fixture(scope="module")
@@ -77,21 +84,6 @@ class TestSeparationConfig:
         with pytest.raises(ValidationError) as err:
             SeparationConfig(k=0, L=0.5, t=0.0, M=0.1, n_samples=0, seed=-1)
         assert len(err.value.problems) >= 5
-
-    def test_band_geometry(self):
-        cfg = SeparationConfig(k=2, L=1.0, t=100.0, M=1.5, n_samples=100, seed=0)
-        assert cfg.band(1) == (7 * 1.5, 9 * 1.5)
-        assert cfg.band(2) == (3 * 1.5, 5 * 1.5)
-        assert cfg.raise_level(1) == 8 * 1.5
-        # nested intervals: one per curve plus the window
-        assert list(cfg.left_ends()) == [-3.0, -2.0, -1.0]
-        assert list(cfg.right_ends()) == [3.0, 2.0, 1.0]
-
-    def test_grid_contains_interval_endpoints(self):
-        cfg = SeparationConfig(k=3, L=1.0, t=10.0, M=2.0, n_samples=10, seed=1)
-        grid = cfg.build_grid()
-        for p in list(cfg.left_ends()) + list(cfg.right_ends()):
-            assert grid.index_of(p) >= 0
 
 
 class TestSeparationExperiment:
@@ -202,7 +194,70 @@ class TestSeparationExperiment:
             run_separation_experiment(cfg, threads=0)
 
 
+def _free_frame_batch(frame, m, seed):
+    return _staggered_free_batch(frame, frame.base_batch(m), np.random.default_rng(seed))
+
+
+def _frame_spec(frame, interval):
+    """A block spec on the frame's grid, built from the config alone."""
+    cfg = frame.cfg
+    floor = Curve(frame.grid, np.clip(-0.5 * frame.grid.points**2, -cfg.M, cfg.M))
+    pins = np.zeros(cfg.k)  # a weight ignores entrance/exit values
+    bd = BoundaryData(pins, pins, PLUS_INF, floor)
+    return ConditionalSpec(1, cfg.k, interval, bd, ScaledExpHamiltonian(cfg.t))
+
+
 class TestSeparationFrame:
+    def test_band_geometry(self):
+        frame = _SeparationFrame(SeparationConfig(k=2, L=1.0, t=100.0, M=1.5, n_samples=100, seed=0))
+        assert list(frame.band_lo) == [7 * 1.5, 3 * 1.5]
+        assert list(frame.band_hi) == [9 * 1.5, 5 * 1.5]
+        assert list(frame.raise_lv) == [8 * 1.5, 4 * 1.5]
+        # nested intervals: one per curve plus the window
+        assert list(frame.left) == [-3.0, -2.0, -1.0]
+        assert list(frame.right) == [3.0, 2.0, 1.0]
+
+    def test_grid_contains_interval_endpoints(self):
+        frame = _SeparationFrame(SeparationConfig(k=3, L=1.0, t=10.0, M=2.0, n_samples=10, seed=1))
+        assert np.array_equal(frame.pts[frame.li], frame.left)
+        assert np.array_equal(frame.pts[frame.ri], frame.right)
+        assert (frame.pts[0], frame.pts[-1]) == (frame.left[0], frame.right[0])
+
+    @pytest.mark.parametrize("k, t", [(1, 1000.0), (2, 100.0), (3, 8.0)])
+    def test_off_window_weight_is_the_sum_of_its_pieces(self, k, t):
+        # per sample and bit for bit: the weight on [-(k+1) L, -L] plus the
+        # weight on [L, (k+1) L], each of one ensemble on the frame's grid
+        frame = _SeparationFrame(SeparationConfig(k=k, L=1.0, t=t, M=1.0, n_samples=10, seed=0))
+        batch = _free_frame_batch(frame, 40, k)
+        half = (k + 1) * 1.0
+        pieces = [_frame_spec(frame, piece) for piece in ((-half, -1.0), (1.0, half))]
+        expected = [
+            sum(log_boltzmann_weight(LineEnsemble(frame.grid, ens), spec) for spec in pieces)
+            for ens in batch
+        ]
+        got = frame.off_window_log_weights(batch)
+        assert np.array_equal(got, expected)
+        assert np.unique(got).size > 1
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_window_interior_never_reaches_the_off_window_weight(self, k):
+        # NaN strictly inside the window must leave every weight as it is
+        frame = _SeparationFrame(SeparationConfig(k=k, L=1.0, t=100.0, M=1.0, n_samples=10, seed=0))
+        batch = _free_frame_batch(frame, 40, k)
+        expected = frame.off_window_log_weights(batch)
+        assert not np.isnan(expected).any() and np.unique(expected).size > 1
+        batch[:, :, frame.iwl + 1 : frame.iwr] = np.nan
+        assert frame.off_window_log_weights(batch).tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_off_window_weight_dominates_full(self, k):
+        frame = _SeparationFrame(SeparationConfig(k=k, L=1.0, t=100.0, M=1.0, n_samples=10, seed=0))
+        batch = _free_frame_batch(frame, 40, k)
+        full = _block(_frame_spec(frame, (frame.left[0], frame.right[0])), frame.grid)
+        off = frame.off_window_log_weights(batch)
+        assert np.all(off >= full.log_weights(batch))
+        assert np.any(off > full.log_weights(batch))
+
     def test_raised_factor_is_a_floor_on_the_inner_interval(self):
         cfg = SeparationConfig(k=3, L=1.0, t=100.0, M=1.0, n_samples=10, seed=0)
         frame = _SeparationFrame(cfg)
@@ -211,7 +266,7 @@ class TestSeparationFrame:
         # steps of 0.5 around each level, so many values sit exactly on it
         steps = rng.choice([-1.0, 0.0, 1.0, 2.0], p=[0.002, 0.3, 0.3, 0.398], size=(m, cfg.k, n))
         batch = frame.raise_lv[None, :, None] + 0.5 * steps
-        left, right = cfg.left_ends(), cfg.right_ends()
+        left, right = frame.left, frame.right
         expected = np.zeros(m)
         for j in range(cfg.k):
             i0, i1 = frame.grid.index_of(left[j + 1]), frame.grid.index_of(right[j + 1])
@@ -248,12 +303,12 @@ class TestSeparationFrame:
         def draws(batch_for, rng):
             out = []
             batch = _staggered_free_batch(frame, batch_for(), rng)
-            out.append((batch.copy(), frame.off_window.log_weights(batch)))
+            out.append((batch.copy(), frame.off_window_log_weights(batch)))
             batch, anchors, lmass = _band_proposal_batch(frame, batch_for(), rng)
-            out.append((batch.copy(), anchors, lmass, frame.off_window.log_weights(batch)))
+            out.append((batch.copy(), anchors, lmass, frame.off_window_log_weights(batch)))
             for lo, hi in ((frame.band_lo, frame.band_hi), (frame.raise_lv, no_ceiling)):
                 batch, lratio = _channel_proposal_batch(frame, batch_for(), rng, lo, hi)
-                out.append((batch.copy(), lratio, frame.off_window.log_weights(batch)))
+                out.append((batch.copy(), lratio, frame.off_window_log_weights(batch)))
             return out
 
         shared = frame.base_batch(64)
