@@ -29,16 +29,24 @@ from .errors import LengthMismatch
 SWEEP_ROWS = 512
 
 
-def bridge_batch(points: np.ndarray, x, y, rng: np.random.Generator, size: int) -> np.ndarray:
+def bridge_batch(
+    points: np.ndarray, x, y, rng: np.random.Generator, size: int, out: np.ndarray | None = None
+) -> np.ndarray:
     """size independent bridges over `points`; returns array (size, len(points)).
 
     x and y may be scalars or length-size arrays (one endpoint pair per row).
+    With `out`, a (size, len(points)) float64 array or strided view, the
+    bridges are written there and `out` is returned; otherwise into a fresh
+    array. Either way the draws are the same, bit for bit.
     """
     pts = np.asarray(points, dtype=np.float64)
     n = pts.shape[0]
     if n < 2:
         raise LengthMismatch("need at least two points to bridge")
-    out = np.empty((size, n))
+    if out is None:
+        out = np.empty((size, n))
+    elif out.shape != (size, n):
+        raise LengthMismatch(f"out has shape {out.shape}, bridges need {(size, n)}")
     out[:, 0] = x
     out[:, -1] = y
     if n > 2:

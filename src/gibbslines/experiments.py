@@ -382,7 +382,8 @@ def _fill_bridges(frame: _SeparationFrame, batch: np.ndarray, j: int, anchors: d
     stops.append((int(frame.ri[j]), c))
     i0, v0 = int(frame.li[j]), c
     for i1, v1 in stops:
-        batch[:, j, i0 : i1 + 1] = bridge_batch(frame.pts[i0 : i1 + 1], v0, v1, rng, batch.shape[0])
+        span = batch[:, j, i0 : i1 + 1]
+        bridge_batch(frame.pts[i0 : i1 + 1], v0, v1, rng, batch.shape[0], out=span)
         i0, v0 = i1, v1
 
 
@@ -459,9 +460,9 @@ def _sine_tilted_height(width: float, g: np.ndarray, u: np.ndarray):
     x_hi = np.full_like(gg, width)
     for _ in range(52):
         mid = 0.5 * (x_lo + x_hi)
-        f = b * (1.0 - np.exp(-gg * mid) * np.cos(b * mid)) - gg * np.exp(-gg * mid) * np.sin(
-            b * mid
-        )
+        decay = np.exp(-gg * mid)
+        phase = b * mid
+        f = b * (1.0 - decay * np.cos(phase)) - gg * decay * np.sin(phase)
         below = f < target
         x_lo = np.where(below, mid, x_lo)
         x_hi = np.where(below, x_hi, mid)
@@ -504,6 +505,10 @@ def _channel_anchor(mu, sd, lo: float, hi: float, rng, m: int):
     profile vanishes (the channel ceiling), the tilted component keeps it
     bounded in the sagging layer at the floor that dominates the free
     conditional. Either component alone leaves a heavy weight tail.
+
+    The sine-tilted height is bisected only for the samples that take the
+    tilted component, but its uniforms are drawn for all m, so the stream
+    is the same whichever component each sample picks.
     """
     mu = np.broadcast_to(np.asarray(mu, dtype=float), (m,))
     sd = np.broadcast_to(np.asarray(sd, dtype=float), (m,))
@@ -511,8 +516,10 @@ def _channel_anchor(mu, sd, lo: float, hi: float, rng, m: int):
     v_tn, log_mass = _band_draw(mu, sd, lo, hi, rng, m)
     g = (lo - mu) / (sd * sd)
     if np.isfinite(hi):
-        x_t = _sine_tilted_height(hi - lo, g, rng.random(m))
-        v = np.where(pick_tn, v_tn, lo + x_t)
+        u = rng.random(m)
+        tilt = ~pick_tn
+        v = v_tn.copy()
+        v[tilt] = lo + _sine_tilted_height(hi - lo, g[tilt], u[tilt])
         lq_tilt = _sine_tilted_log_pdf(hi - lo, g, v - lo)
     else:
         g = np.maximum(g, 0.25 / sd)

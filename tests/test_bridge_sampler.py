@@ -150,14 +150,30 @@ def _cumsum_formula(points, x, y, rng, size):
     return out
 
 
+@pytest.mark.parametrize("into", ["fresh", "out"])
 @pytest.mark.parametrize("size", [SWEEP_ROWS - 1, SWEEP_ROWS])
 @pytest.mark.parametrize("n", [4, 33, 129])
-def test_column_sweep_is_bitwise_the_cumsum(size, n):
+def test_column_sweep_is_bitwise_the_cumsum(size, n, into):
     # both sides of the threshold: the sweep makes the cumsum's additions in its order
     pts = np.cumsum(np.random.default_rng(n).uniform(0.01, 0.2, n))
     x, y = np.linspace(-1.0, 1.0, size), 0.5
-    got = bridge_batch(pts, x, y, np.random.default_rng(size), size)
-    assert np.array_equal(got, _cumsum_formula(pts, x, y, np.random.default_rng(size), size))
+    rng, ref_rng = np.random.default_rng(size), np.random.default_rng(size)
+    expected = _cumsum_formula(pts, x, y, ref_rng, size)
+    if into == "fresh":
+        got = bridge_batch(pts, x, y, rng, size)
+    else:
+        # curve 1 of a (size, 3, n + 4) batch, two columns in from each side
+        batch = np.random.default_rng(0).standard_normal((size, 3, n + 4))
+        before = batch.copy()
+        view = batch[:, 1, 2 : n + 2]
+        assert bridge_batch(pts, x, y, rng, size, out=view) is view
+        got = view.copy()
+        batch[:, 1, 2 : n + 2] = before[:, 1, 2 : n + 2]
+        assert np.array_equal(batch, before)
+        with pytest.raises(LengthMismatch):
+            bridge_batch(pts, x, y, np.random.default_rng(0), size, out=batch[:, 1, 1 : n + 2])
+    assert np.array_equal(got, expected)
+    assert rng.random() == ref_rng.random()
 
 
 def test_too_few_points_rejected():

@@ -5,6 +5,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from gibbslines import experiments
+from gibbslines.bridge_sampler import SWEEP_ROWS
 from gibbslines.core import (
     PLUS_INF,
     BoundaryData,
@@ -26,9 +28,12 @@ from gibbslines.experiments import (
     _anchor_pair,
     _band_draw,
     _band_proposal_batch,
+    _channel_anchor,
     _channel_log_factor,
     _channel_proposal_batch,
+    _gamma_tilted_height,
     _gamma_tilted_log_pdf,
+    _log_normal_pdf,
     _run_shards,
     _shard_counts,
     _sine_tilted_height,
@@ -294,8 +299,9 @@ class TestSeparationFrame:
         assert np.array_equal(got, expected)
         assert np.unique(got).size > 1
 
+    @pytest.mark.parametrize("rows", [64, SWEEP_ROWS])
     @pytest.mark.parametrize("k", [1, 2, 3])
-    def test_one_reused_batch_gives_the_fresh_batch_draws(self, k):
+    def test_one_reused_batch_gives_the_fresh_batch_draws(self, k, rows):
         # the separation runner draws its four proposals into one batch in turn
         frame = _SeparationFrame(SeparationConfig(k=k, L=1.0, t=100.0, M=1.0, n_samples=10, seed=0))
         no_ceiling = np.full(k, np.inf)
@@ -311,12 +317,84 @@ class TestSeparationFrame:
                 out.append((batch.copy(), lratio, frame.off_window_log_weights(batch)))
             return out
 
-        shared = frame.base_batch(64)
+        shared = frame.base_batch(rows)
         reused = draws(lambda: shared, np.random.default_rng(k))
-        fresh = draws(lambda: frame.base_batch(64), np.random.default_rng(k))
+        fresh = draws(lambda: frame.base_batch(rows), np.random.default_rng(k))
         for got, expected in zip(reused, fresh, strict=True):
             for a, b in zip(got, expected, strict=True):
                 assert np.array_equal(a, b)
+
+
+def _bisected_sine_height(width, g, u):
+    """Reference: _sine_tilted_height's bisection as one plain expression per step."""
+    b = math.pi / width
+    gg = np.abs(g)
+    norm = b * (1.0 + np.exp(-gg * width)) / (gg * gg + b * b)
+    target = u * (norm * (gg * gg + b * b))
+    x_lo, x_hi = np.zeros_like(gg), np.full_like(gg, width)
+    for _ in range(52):
+        mid = 0.5 * (x_lo + x_hi)
+        f = b * (1.0 - np.exp(-gg * mid) * np.cos(b * mid)) - gg * np.exp(-gg * mid) * np.sin(b * mid)
+        below = f < target
+        x_lo = np.where(below, mid, x_lo)
+        x_hi = np.where(below, x_hi, mid)
+    x = np.clip(0.5 * (x_lo + x_hi), 1e-12 * width, (1.0 - 1e-12) * width)
+    return np.where(g < 0, width - x, x)
+
+
+def _channel_anchor_formula(mu, sd, lo, hi, rng, m):
+    """Reference: the channel anchor with the tilted height drawn for all m
+    samples and the component picked by np.where."""
+    mu = np.broadcast_to(np.asarray(mu, dtype=float), (m,))
+    sd = np.broadcast_to(np.asarray(sd, dtype=float), (m,))
+    pick_tn = rng.random(m) < 0.5
+    v_tn, log_mass = _band_draw(mu, sd, lo, hi, rng, m)
+    g = (lo - mu) / (sd * sd)
+    if np.isfinite(hi):
+        v = np.where(pick_tn, v_tn, lo + _bisected_sine_height(hi - lo, g, rng.random(m)))
+        lq_tilt = _sine_tilted_log_pdf(hi - lo, g, v - lo)
+    else:
+        g = np.maximum(g, 0.25 / sd)
+        v = np.where(pick_tn, v_tn, lo + _gamma_tilted_height(g, rng, m))
+        lq_tilt = _gamma_tilted_log_pdf(g, np.maximum(v - lo, 1e-300))
+    log_phi = _log_normal_pdf(v, mu, sd)
+    log_q = np.logaddexp(log_phi - log_mass, lq_tilt) - math.log(2.0)
+    return v, log_phi - log_q
+
+
+class TestChannelProposal:
+    @pytest.mark.parametrize("rows", [64, SWEEP_ROWS])
+    @pytest.mark.parametrize("channel", ["banded", "raised"])
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_batch_is_bitwise_the_all_samples_formula(self, k, channel, rows, monkeypatch):
+        frame = _SeparationFrame(SeparationConfig(k=k, L=1.0, t=100.0, M=1.0, n_samples=10, seed=0))
+        if channel == "banded":
+            lo, hi = frame.band_lo, frame.band_hi
+        else:
+            lo, hi = frame.raise_lv, np.full(k, np.inf)
+        rng = np.random.default_rng(30 + k)
+        got, got_ratio = _channel_proposal_batch(frame, frame.base_batch(rows), rng, lo, hi)
+        monkeypatch.setattr(experiments, "_channel_anchor", _channel_anchor_formula)
+        ref_rng = np.random.default_rng(30 + k)
+        expected, expected_ratio = _channel_proposal_batch(
+            frame, frame.base_batch(rows), ref_rng, lo, hi
+        )
+        assert np.array_equal(got, expected)
+        assert np.array_equal(got_ratio, expected_ratio)
+        assert np.all(np.isfinite(got_ratio)) and np.unique(got_ratio).size > 1
+        assert rng.random() == ref_rng.random()
+
+    def test_anchor_with_no_tilted_sample(self):
+        # a seed whose picks all take the truncated component: the tilted subset is empty
+        m = 4
+        seed = next(s for s in range(200) if np.all(np.random.default_rng(s).random(m) < 0.5))
+        args = (np.linspace(-3.0, 1.0, m), np.full(m, 0.8), 2.0, 3.5)
+        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        v, term = _channel_anchor(*args, rng, m)
+        v_ref, term_ref = _channel_anchor_formula(*args, ref_rng, m)
+        assert np.array_equal(v, v_ref) and np.array_equal(term, term_ref)
+        assert np.all((v >= 2.0) & (v <= 3.5))
+        assert rng.random() == ref_rng.random()
 
 
 class TestZLowerBound:
