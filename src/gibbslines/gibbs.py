@@ -355,15 +355,27 @@ def first_hitting_domain(
 # mass) and keeps the nodes above KEEP_DENSITY times each state's peak, plus
 # one on each side. LATTICE_POINTS fine points cover the union of the kept
 # intervals, the density is interpolated log-linearly between them, and each
-# cell's mass and in-cell inverse are closed form.
+# cell's mass and in-cell inverse are closed form. Each fine cell's mass is
+# then corrected for the curvature of the log density (_correct_curvature),
+# which takes its error from O(dx^2) to O(dx^4); the coarse pass, which only
+# places the fine lattice, is not corrected.
 # Error bound, tests/test_gibbs.py::TestSiteLawError: site-law KS distance
 # (sigma^2 = 1/128, trap = 1/64, t in {1, 8, 100, 1000}, with and without
-# neighbours, and coupled pairs) at most 2e-5. Measured: at most 9e-7, and
-# 1.1e-5 for t = 1000 with a neighbour above squeezing the site 0.3 below its
-# mean; the 1024-point trapezoid lattice this replaced measured 1.2e-5 to
-# 2.0e-5. The hard wall's site law is a truncated Gaussian, drawn exactly:
-# KS against scipy.stats.truncnorm at most 1e-10, measured at most 3e-13
-# (old lattice: 1.3e-3 near the mean, 0.29 for a window 30 sigma off).
+# neighbours, and coupled pairs: 24 (t, case) pairs) at most 2e-5. Measured
+# by scripts/site_law_table.py, worst and median over the 24 pairs:
+#   160 points, curvature-corrected (these constants)  6.9e-6 (t = 1000 pair)     3.3e-6
+#   128 points, curvature-corrected                    1.4e-5 (t = 1000 pair)     6.4e-6
+#   320 points, log-linear only                        1.1e-5 (t = 1000 squeeze)  4.6e-7
+#   240 points, log-linear only                        2.0e-5 (t = 1000 squeeze)  1.0e-6
+#   160 points, log-linear only                        4.5e-5 (t = 1000 squeeze)  3.4e-6
+# The squeeze is a neighbour above pressing the site 0.3 below its mean, where
+# the penalty bends the log density most. On a uniform lattice the Gaussian
+# part's constant curvature scales every cell by one factor, which the
+# normalization cancels: hence the low log-linear medians. The 1024-point
+# trapezoid lattice of earlier versions measured 1.2e-5 to 2.0e-5.
+# The hard wall's site law is a truncated Gaussian, drawn exactly: KS against
+# scipy.stats.truncnorm at most 1e-10, measured at most 3e-13 (old lattice:
+# 1.3e-3 near the mean, 0.29 for a window 30 sigma off).
 # The path weights themselves carry the trapezoid rule's grid error, bound in
 # tests/test_gibbs.py::TestLogWeight::test_trapezoid_grid_error_of_soft_weights:
 # one curve on [0, 1] over a floor at -0.3, spacing 1/32 against 1/64, moves
@@ -373,7 +385,7 @@ def first_hitting_domain(
 # off the window (-1, 1)), same spacings, moves by at most 0.1 % at t = 100
 # and at t = 1000 (measured -0.005 % and -0.001 %, SE 0.005 % and 0.013 %),
 # bound in ...::test_trapezoid_grid_error_of_separation_free_weights.
-LATTICE_POINTS = 320
+LATTICE_POINTS = 160
 COARSE_POINTS = 64
 KEEP_DENSITY = math.exp(-36.0)  # ~2e-16 of the peak: lower nodes carry no mass
 LOG_FLOOR = -1000.0  # exp underflows to 0 long before; keeps log slopes finite
@@ -404,8 +416,8 @@ def _site_gaussian(pts: np.ndarray, j: int):
 # of 250 chains on 17 points took about 44,000 minor faults that way, and
 # about 130 on these buffers. Arrays whose lifetimes do not overlap share
 # storage: the coarse pass's arrays are views into the fine pass's, the two
-# penalty scratches into the cells and slopes, and the fine CDF into the log
-# density.
+# penalty scratches into the cells and slopes, and the fine curvature factors
+# and CDF into the log density.
 _COARSE_BASE = np.linspace(0.0, 1.0, COARSE_POINTS)
 _FINE_BASE = np.linspace(0.0, 1.0, LATTICE_POINTS)
 
@@ -414,7 +426,7 @@ class _SiteLattice(NamedTuple):
     """Work arrays of one lattice pass over m points, S states and B rows."""
 
     vs: np.ndarray  # (B, m) lattice values
-    logd: np.ndarray  # (S, B, m) log density, then density / peak, then the CDF
+    logd: np.ndarray  # (S, B, m) log density, then density / peak, then curvature factors, then the CDF
     gap_up: np.ndarray  # (S, B, m) penalty scratch; shares storage with cells
     gap_low: np.ndarray  # (S, B, m) penalty scratch; shares storage with slopes
     cells: np.ndarray  # (S, B, m-1)
@@ -496,9 +508,34 @@ def _log_linear_cells(w: _SiteLattice):
     return cells, slopes
 
 
+def _correct_curvature(w: _SiteLattice):
+    """Scale each of w.cells by max(0, 1 - k / 12), in place.
+
+    k is the mean of the log density's second differences (steps of w.slopes)
+    at the cell's two end nodes, or the one at its interior node for the two
+    end cells. Over a cell of width dx where the log density has curvature
+    c, its integral is the log-linear chord's mass times 1 - c dx^2 / 12, up
+    to O(dx^4) relative, and k is about c dx^2: so the corrected masses are
+    off by O(dx^4) where the uncorrected ones are off by O(dx^2). The
+    trapezoid masses of cells flatter than LOG_LINEAR_MIN miss by the same
+    amount, up to a term in the square of their log step. Uses w.logd as
+    scratch, so call it after the density there is spent.
+    """
+    s = w.slopes
+    c = w.logd[..., :-1]  # 2 k per cell: the sum of its end nodes' second differences
+    np.subtract(s[..., 2:], s[..., :-2], out=c[..., 1:-1])
+    c[..., 0] = 2.0 * (s[..., 1] - s[..., 0])
+    c[..., -1] = 2.0 * (s[..., -1] - s[..., -2])
+    c /= 24.0
+    np.subtract(1.0, c, out=c)
+    np.maximum(c, 0.0, out=c)
+    np.multiply(w.cells, c, out=w.cells)
+
+
 def _invert_log_linear(w: _SiteLattice, u):
-    """Exact inverse at u (B, 1) of each state's CDF of _log_linear_cells, as
-    (S, B, 1); nondecreasing in u. The CDF overwrites w.logd."""
+    """Exact inverse at u (B, 1) of each state's CDF of w.cells, log-linear
+    within each cell, as (S, B, 1); nondecreasing in u. The CDF overwrites
+    w.logd."""
     cdf = w.logd
     cdf[..., 0] = 0.0
     np.cumsum(w.cells, axis=2, out=cdf[..., 1:])
@@ -568,6 +605,7 @@ def _lattice_draws(mu, sigma, above, below, trap, h, u, coarse: _SiteLattice, fi
     _site_log_density(mu, sigma, above, below, trap, h, fine)
     if _log_linear_cells(fine) is None:
         raise OrderViolationInput("site density vanished on the value lattice")
+    _correct_curvature(fine)
     return _invert_log_linear(fine, u)
 
 
@@ -634,17 +672,26 @@ def _site_draw(mu, sigma, above, below, trap, h, u, work):
     every state's truncated Gaussian exactly in one call and builds no lattice;
     any other Hamiltonian is inverted on the short log-linear lattice described
     above LATTICE_POINTS, one call for all states. Each draw is nondecreasing
-    in its mean, its neighbours and u, and on the shared lattice the states'
-    densities keep their likelihood-ratio order, so a pair ordered in its
-    inputs stays ordered in exact arithmetic; the final max absorbs rounding.
-    The hard wall's draws cross by a few ulps of the value at most. A soft
-    draw inverts a CDF summed from up to LATTICE_POINTS - 1 cell masses and
-    divided by their total, off by up to about 2 LATTICE_POINTS eps in
-    probability (eps the machine epsilon); that moves a draw v by up to
+    in u, and the final max absorbs what crossing is left. The hard wall's
+    draws are nondecreasing in the mean, the neighbours and u, so they cross
+    by a few ulps of the value at most.
+    On the shared soft lattice the states' densities keep their
+    likelihood-ratio order, and so do their log-linear cell masses. The
+    curvature factors max(0, 1 - k/12) are each state's own, so that order
+    no longer holds by construction: the factors' ratio between two states is
+    1 + O(dx^2) and changes little from cell to cell, so it can undo the
+    density ratio's rise only where that rise is as small. In measurements
+    what crosses is rounding. A soft draw inverts
+    a CDF summed from up to LATTICE_POINTS - 1 cell masses and divided by
+    their total, off by up to about 2 LATTICE_POINTS eps in probability (eps
+    the machine epsilon); that moves a draw v by up to
     2 LATTICE_POINTS eps / f(v), f the state's site density. Two soft states
     may so cross by 2 LATTICE_POINTS eps (1/f_lo + 1/f_hi), which is no
-    ulp-level amount near v = 0 or in the tails: measured at most 48 eps
-    (1/f_lo + 1/f_hi), e.g. 4.7e-15 at v = 0.002, 13,000 ulps of v.
+    ulp-level amount near v = 0 or in the tails. Measured over 15,000 random
+    ordered pairs (TestSiteCoupling's ranges, shifts from 0 and 1e-14 up to
+    0.5, 257 shared uniforms each): at most 281 eps (1/f_lo + 1/f_hi), none
+    beyond the 320 of that bound, and the same pairs without the curvature
+    factors cross by as much (also at most 281).
     """
     if isinstance(h, OrderedHamiltonian):
         draws = _truncated_gaussian(mu, sigma, below, above, u)[0]
