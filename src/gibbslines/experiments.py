@@ -364,9 +364,10 @@ class _SeparationFrame:
         return left.log_weights(batch[..., left.span]) + right.log_weights(batch[..., right.span])
 
     def base_batch(self, m: int) -> np.ndarray:
-        """A fresh (m, k, n) batch of the constant extensions. Each proposal
-        draw rewrites every column of curve j's own interval and nothing
-        outside it, so one batch can take successive draws."""
+        """A fresh (m, k, n) batch of the constant extensions. A draw writes
+        only inside curve j's own interval, and there only what its weight
+        reads, so one batch takes successive draws; the rest (free and
+        separated window interiors, channel rows past the kept ones) is stale."""
         return np.broadcast_to(self.ext[None, :, None], (m, self.cfg.k, self.grid.n)).copy()
 
     def window_spec(self, x_vec: np.ndarray, y_vec: np.ndarray) -> ConditionalSpec:
@@ -374,72 +375,40 @@ class _SeparationFrame:
         return ConditionalSpec(1, self.cfg.k, (-self.cfg.L, self.cfg.L), bd, self.h)
 
 
-def _fill_bridges(frame: _SeparationFrame, batch: np.ndarray, j: int, anchors: dict, rng):
-    """Fill curve j of the batch with bridges from its left pin through the
-    anchors ({grid point: values}, in increasing point order) to its right pin."""
-    c = float(frame.ext[j])
-    stops = [(frame.grid.index_of(p), anchors[p]) for p in sorted(anchors)]
-    stops.append((int(frame.ri[j]), c))
-    i0, v0 = int(frame.li[j]), c
-    for i1, v1 in stops:
-        span = batch[:, j, i0 : i1 + 1]
-        bridge_batch(frame.pts[i0 : i1 + 1], v0, v1, rng, batch.shape[0], out=span)
-        i0, v0 = i1, v1
+def _fill_bridges(frame: _SeparationFrame, rows: np.ndarray, j: int, stops: list, rng):
+    """Fill curve j of `rows`, a batch or its leading rows, with bridges between
+    consecutive stops, (grid index, values) pairs in increasing index order.
+    Only the columns from the first stop to the last are written."""
+    for (i0, v0), (i1, v1) in zip(stops, stops[1:]):
+        span = rows[:, j, i0 : i1 + 1]
+        bridge_batch(frame.pts[i0 : i1 + 1], v0, v1, rng, rows.shape[0], out=span)
 
 
-def _staggered_free_batch(frame: _SeparationFrame, batch: np.ndarray, rng) -> np.ndarray:
-    for j in range(frame.cfg.k):
-        _fill_bridges(frame, batch, j, {}, rng)
-    return batch
-
-
-def _band_proposal_batch(frame: _SeparationFrame, batch: np.ndarray, rng):
-    """Free staggered draws, into a base batch, conditioned to the endpoint
-    bands at -L and L.
+def _band_proposal_batch(frame: _SeparationFrame, batch: np.ndarray, rng, lo_vec, hi_vec, window: bool):
+    """Staggered draws, into a base batch, conditioned to the bands
+    [lo_vec[j], hi_vec[j]] at -L and L; infinite bands give the free draw.
 
     The two window-edge values of each curve are drawn from exact bridge
-    conditionals truncated to the curve's band; interiors stay free bridges.
-    Returns (batch, anchors, log_mass) where log_mass is the summed log band
-    mass, i.e. the log density ratio d(free)/d(proposal) on each sample.
+    conditionals truncated to the curve's band, then bridges fill the rest,
+    across the window only if `window` is set. Returns (batch, anchors,
+    log_mass) where log_mass is the summed log band mass, i.e. the log
+    density ratio d(free)/d(proposal) on each sample.
     """
     cfg = frame.cfg
-    L = cfg.L
     m = batch.shape[0]
     anchors = np.empty((m, cfg.k, 2))
     log_mass = np.zeros(m)
     for j in range(cfg.k):
         c = float(frame.ext[j])
         lj, rj = float(frame.left[j]), float(frame.right[j])
-        lo, hi = float(frame.band_lo[j]), float(frame.band_hi[j])
-        v1, v2, lm = _anchor_pair(c, c, (lj, rj), -L, L, lo, hi, m, rng)
+        lo, hi = float(lo_vec[j]), float(hi_vec[j])
+        v1, v2, lm = _anchor_pair(c, c, (lj, rj), -cfg.L, cfg.L, lo, hi, m, rng)
         log_mass += lm
         anchors[:, j, 0], anchors[:, j, 1] = v1, v2
-        _fill_bridges(frame, batch, j, {-L: v1, L: v2}, rng)
+        stops = [(frame.li[j], c), (frame.iwl, v1), (frame.iwr, v2), (frame.ri[j], c)]
+        for piece in [stops] if window else [stops[:2], stops[2:]]:
+            _fill_bridges(frame, batch, j, piece, rng)
     return batch, anchors, log_mass
-
-
-def _channel_log_factor(frame: _SeparationFrame, batch: np.ndarray, lo_vec, hi_vec) -> np.ndarray:
-    """Log indicator (0 or -inf) of the channel events on the grid skeleton.
-
-    Curve j must sit in [lo_vec[j], hi_vec[j]] at every grid point of the next
-    narrower interval and below hi_vec[j] on the rest of its own interval; the
-    raised event is the channel (raise level, +inf). The channel proposal pins
-    the inner values into a band by construction, so the band ceiling on the
-    free outer segments is what actually gets tested. Channel occupation is a
-    skeleton event, matching how the engine evaluates weights.
-    """
-    m = batch.shape[0]
-    out = np.zeros(m)
-    for j in range(frame.cfg.k):
-        lo, hi = float(lo_vec[j]), float(hi_vec[j])
-        in0, in1 = int(frame.li[j + 1]), int(frame.ri[j + 1])
-        own0, own1 = int(frame.li[j]), int(frame.ri[j])
-        inner = batch[:, j, in0 : in1 + 1]
-        ok = np.all((inner >= lo) & (inner <= hi), axis=1)
-        ok &= np.all(batch[:, j, own0 : in0 + 1] <= hi, axis=1)
-        ok &= np.all(batch[:, j, in1 : own1 + 1] <= hi, axis=1)
-        out += np.where(ok, 0.0, -np.inf)
-    return out
 
 
 def _sine_tilted_height(width: float, g: np.ndarray, u: np.ndarray):
@@ -532,9 +501,9 @@ def _channel_anchor(mu, sd, lo: float, hi: float, rng, m: int):
     return v, log_phi - log_q
 
 
-def _channel_proposal_batch(frame: _SeparationFrame, batch: np.ndarray, rng, lo_vec, hi_vec):
-    """Free staggered draws, into a base batch, with anchors pushed into a
-    channel per curve.
+def _channel_anchors(frame: _SeparationFrame, batch: np.ndarray, rng, lo_vec, hi_vec):
+    """Anchors pushed into a channel per curve, and the bridges between them,
+    for every sample of a base batch.
 
     The anchor points of curve j are the nested interval endpoints inside its
     next narrower interval. The outermost pair is conditioned on the pins far
@@ -548,11 +517,13 @@ def _channel_proposal_batch(frame: _SeparationFrame, batch: np.ndarray, rng, lo_
     channel, or that leave the anchors at their sagging conditional layer,
     both lose the effective sample size to weight spread once the channel
     sits several standard deviations above the pins.
-    Returns (batch, log_ratio).
+    Returns (log_ratio, inside): inside marks the samples whose every curve
+    j stays in [lo_vec[j], hi_vec[j]] on its next narrower interval.
     """
     cfg = frame.cfg
     m = batch.shape[0]
     log_ratio = np.zeros(m)
+    inside = np.ones(m, dtype=bool)
     for j in range(cfg.k):
         c = float(frame.ext[j])
         lj, rj = float(frame.left[j]), float(frame.right[j])
@@ -562,9 +533,7 @@ def _channel_proposal_batch(frame: _SeparationFrame, batch: np.ndarray, rng, lo_
 
         v_first, term = _channel_anchor(*_bridge_point(lj, c, p_first, rj, c), lo, hi, rng, m)
         log_ratio += term
-        v_last, term = _channel_anchor(
-            *_bridge_point(p_first, v_first, p_last, rj, c), lo, hi, rng, m
-        )
+        v_last, term = _channel_anchor(*_bridge_point(p_first, v_first, p_last, rj, c), lo, hi, rng, m)
         log_ratio += term
 
         values = {p_first: v_first, p_last: v_last}
@@ -572,8 +541,40 @@ def _channel_proposal_batch(frame: _SeparationFrame, batch: np.ndarray, rng, lo_
             mu_sd = _bridge_point(prev, values[prev], p, p_last, v_last)
             values[p], lm = _band_draw(*mu_sd, lo, hi, rng, m)
             log_ratio += lm
-        _fill_bridges(frame, batch, j, values, rng)
-    return batch, log_ratio
+        _fill_bridges(frame, batch, j, [(frame.grid.index_of(p), values[p]) for p in anchor_pts], rng)
+        inner = batch[:, j, frame.li[j + 1] : frame.ri[j + 1] + 1]
+        inside &= np.all((inner >= lo) & (inner <= hi), axis=1)
+    return log_ratio, inside
+
+
+def _channel_log_weights(frame: _SeparationFrame, batch: np.ndarray, rng, lo_vec, hi_vec):
+    """Channel proposal draws, into a base batch; returns (log_weights,
+    log_factor), the latter the log indicator (0 or -inf) of the channel
+    event on the grid skeleton: curve j in [lo_vec[j], hi_vec[j]] on its next
+    narrower interval and below hi_vec[j] on the rest of its own. Given the
+    anchors the bridge pieces are independent, and a sample outside the inner
+    channel has weight 0 whatever its outer spans, so only the samples inside
+    draw those, in the leading rows, where their off-window columns are
+    compacted first."""
+    log_ratio, inside = _channel_anchors(frame, batch, rng, lo_vec, hi_vec)
+    keep = np.flatnonzero(inside)
+    rows = batch[: keep.size]
+    for cols in (np.s_[frame.li[1] : frame.iwl + 1], np.s_[frame.iwr : frame.ri[1] + 1]):
+        rows[..., cols] = batch[keep, :, cols]
+    ok = np.ones(keep.size, dtype=bool)
+    for j in range(frame.cfg.k):
+        c, hi = float(frame.ext[j]), float(hi_vec[j])
+        own0, in0, in1, own1 = frame.li[j], frame.li[j + 1], frame.ri[j + 1], frame.ri[j]
+        # the inner anchors at in0 and in1 came along with the compacted columns
+        _fill_bridges(frame, rows, j, [(own0, c), (in0, rows[:, j, in0])], rng)
+        _fill_bridges(frame, rows, j, [(in1, rows[:, j, in1]), (own1, c)], rng)
+        ok &= np.all(rows[:, j, own0 : in0 + 1] <= hi, axis=1)
+        ok &= np.all(rows[:, j, in1 : own1 + 1] <= hi, axis=1)
+    log_factor = np.full(batch.shape[0], -np.inf)
+    log_factor[keep] = np.where(ok, 0.0, -np.inf)
+    log_w = np.full(batch.shape[0], -np.inf)
+    log_w[keep] = log_ratio[keep] + frame.off_window_log_weights(rows) + log_factor[keep]
+    return log_w, log_factor
 
 
 # ---------------------------------------------------------------------------
@@ -591,25 +592,23 @@ def run_separation_experiment(cfg: SeparationConfig, threads: int = 1) -> Experi
     """
     _raise_problems(_thread_problems(threads))
     frame = _SeparationFrame(cfg)
-    no_ceiling = np.full(cfg.k, np.inf)
-
-    def channel_log_weights(batch, rng, lo_vec, hi_vec):
-        _, lmass = _channel_proposal_batch(frame, batch, rng, lo_vec, hi_vec)
-        factor = _channel_log_factor(frame, batch, lo_vec, hi_vec)
-        return lmass + frame.off_window_log_weights(batch) + factor, factor
+    no_floor, no_ceiling = np.full(cfg.k, -np.inf), np.full(cfg.k, np.inf)
 
     # each proposal is done with once its log weight is taken, so the four
     # draws (free, sep, banded, raised, in that order) share one (m, k, n)
-    # batch per shard; it lives here, not on the frame, since shards run on threads
+    # batch per shard; it lives here, not on the frame, since shards run on
+    # threads. Each draw fills only the path pieces that its weight reads.
     def shard(m, rng):
         batch = frame.base_batch(m)
-        lw_free = frame.off_window_log_weights(_staggered_free_batch(frame, batch, rng))
+        # the free draw is the band proposal with band (-inf, inf), of mass 1
+        _band_proposal_batch(frame, batch, rng, no_floor, no_ceiling, window=False)
+        lw_free = frame.off_window_log_weights(batch)
         # endpoint event: window-edge anchors in band, nothing else conditioned,
         # so the proposal support is exactly the event and no indicator appears
-        _, _, lmass_e = _band_proposal_batch(frame, batch, rng)
+        _, _, lmass_e = _band_proposal_batch(frame, batch, rng, frame.band_lo, frame.band_hi, window=False)
         lw_sep = lmass_e + frame.off_window_log_weights(batch)
-        lw_banded, band_factor = channel_log_weights(batch, rng, frame.band_lo, frame.band_hi)
-        lw_raised, _ = channel_log_weights(batch, rng, frame.raise_lv, no_ceiling)
+        lw_banded, band_factor = _channel_log_weights(frame, batch, rng, frame.band_lo, frame.band_hi)
+        lw_raised, _ = _channel_log_weights(frame, batch, rng, frame.raise_lv, no_ceiling)
         # log factors never exceed 0 and every banded-proposal sample has its
         # window-edge anchors in band, hence realizes the endpoint event
         violations = int(np.sum(band_factor > 1e-12))
@@ -695,9 +694,10 @@ def run_z_lowerbound_experiment(cfg: SeparationConfig, threads: int = 1) -> Expe
     n_inner = 256
     k, L, M = cfg.k, cfg.L, cfg.M
     frac = np.linspace(0.0, 1.0, frame.win_grid.n)
+    bands = frame.band_lo, frame.band_hi
 
     def shard(m, rng):
-        batch, anchors, lmass = _band_proposal_batch(frame, frame.base_batch(m), rng)
+        batch, anchors, lmass = _band_proposal_batch(frame, frame.base_batch(m), rng, *bands, window=True)
         lw = lmass + frame.off_window_log_weights(batch)
         spec = frame.window_spec(anchors[:, :, 0], anchors[:, :, 1])
         z = estimate_Z(spec, frame.win_grid, n=n_inner, seed=int(rng.integers(2**62)))

@@ -6,7 +6,6 @@ Monte Carlo comparisons run at frozen seeds; "3 SE" always means three
 combined standard errors of the quantities being compared.
 """
 
-import importlib.util
 import math
 import time
 from pathlib import Path
@@ -46,15 +45,10 @@ from gibbslines.gibbs import (
 )
 from gibbslines.scaling import ScalingParams
 
+from conftest import load_script
+
 ROOT = Path(__file__).resolve().parents[1]
 RESULTS_DIR = ROOT / "results"
-
-
-def _load_script(name):
-    spec = importlib.util.spec_from_file_location(name, ROOT / "scripts" / f"{name}.py")
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
 
 
 # ---------------------------------------------------------------------------
@@ -426,7 +420,7 @@ def test_criterion_07_separation_decay_dominated_by_quadratic():
 
     RESULTS_DIR.mkdir(exist_ok=True)
     out = RESULTS_DIR / "separation_shape.txt"
-    sweep = _load_script("separation_sweep")
+    sweep = load_script("separation_sweep")
     _, table = sweep.shape_table([(m, p) for m, p, _ in rows], 2, 1.0, 100.0, 100_000, 5)
     out.write_text(table)
     assert out.exists()

@@ -1,9 +1,7 @@
 import csv
 import dataclasses
-import importlib.util
 import json
 import math
-from pathlib import Path
 
 import pytest
 
@@ -21,6 +19,8 @@ from gibbslines.config import (
 from gibbslines.core import McEstimate
 from gibbslines.errors import ParseError, ValidationError, ZeroHits
 from gibbslines.experiments import ExperimentReport
+
+from conftest import load_script
 
 FAST_SEPARATION = """
 experiment = separation
@@ -496,17 +496,9 @@ class TestCli:
                 assert float(f"{row['mean']:.17g}") == row["mean"]
 
 
-def _load_script(name):
-    script = Path(__file__).resolve().parents[1] / "scripts" / f"{name}.py"
-    spec = importlib.util.spec_from_file_location(name, script)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
 class TestRunAllScript:
     def test_reports_match_cli_run(self, tmp_path):
-        module = _load_script("run_all_experiments")
+        module = load_script("run_all_experiments")
         names = ["separation", "excursion"]
         for threads in ("1", "2"):
             out_dir = tmp_path / f"all{threads}"
@@ -529,7 +521,7 @@ class TestRunAllScript:
         monkeypatch.setitem(
             REGISTRY, "ordering", dataclasses.replace(REGISTRY["ordering"], dispatch=fail)
         )
-        module = _load_script("run_all_experiments")
+        module = load_script("run_all_experiments")
         out_dir = tmp_path / "all"
         argv = ["--seed", "3", "--output-dir", str(out_dir), "--only", "ordering", "--only", "excursion"]
         assert module.main(argv) == 1
@@ -558,7 +550,7 @@ class TestCompareReportsScript:
         path.write_text(render_json_lines(rows))
 
     def test_reports_changes_and_passes_without_problems(self, tmp_path, capsys):
-        module = _load_script("compare_reports")
+        module = load_script("compare_reports")
         self._write_report(tmp_path / "old" / "a.jsonl", [("p", 0.5, 0.01), ("q", 2.0, 0.0)], [("c", True)])
         self._write_report(tmp_path / "new" / "a.jsonl", [("p", 0.51, 0.02), ("q", 2.0, 0.0)], [("c", True)])
         assert module.main([str(tmp_path / "old"), str(tmp_path / "new")]) == 0
@@ -570,7 +562,7 @@ class TestCompareReportsScript:
     def test_non_finite_reals_round_trip(self, tmp_path, capsys):
         # every written line is JSON; non-finite reals are strings there and
         # floats again in the comparison
-        module = _load_script("compare_reports")
+        module = load_script("compare_reports")
         estimates = [("up", math.inf, 0.0), ("down", -math.inf, math.nan), ("p", 0.5, 0.01)]
         for side in ("old", "new"):
             self._write_report(tmp_path / side / "a.jsonl", estimates, [])
@@ -589,7 +581,7 @@ class TestCompareReportsScript:
         )
 
     def test_flags_flips_and_one_sided_rows_and_files(self, tmp_path, capsys):
-        module = _load_script("compare_reports")
+        module = load_script("compare_reports")
         self._write_report(tmp_path / "old" / "a.jsonl", [("p", 0.5, 0.01), ("gone", 1.0, 0.0)], [("c", True)])
         self._write_report(tmp_path / "new" / "a.jsonl", [("p", 0.5, 0.01), ("d", math.inf, 0.0)], [("c", False)])
         self._write_report(tmp_path / "old" / "only_old.jsonl", [], [])

@@ -1,3 +1,4 @@
+import copy
 import math
 import tracemalloc
 
@@ -29,8 +30,8 @@ from gibbslines.experiments import (
     _band_draw,
     _band_proposal_batch,
     _channel_anchor,
-    _channel_log_factor,
-    _channel_proposal_batch,
+    _channel_anchors,
+    _channel_log_weights,
     _gamma_tilted_height,
     _gamma_tilted_log_pdf,
     _log_normal_pdf,
@@ -38,7 +39,6 @@ from gibbslines.experiments import (
     _shard_counts,
     _sine_tilted_height,
     _sine_tilted_log_pdf,
-    _staggered_free_batch,
     estimate_excursion_probability,
     run_excursion_experiment,
     run_fluctuation_experiment,
@@ -199,8 +199,15 @@ class TestSeparationExperiment:
             run_separation_experiment(cfg, threads=0)
 
 
+def _free_bands(frame):
+    return np.full(frame.cfg.k, -np.inf), np.full(frame.cfg.k, np.inf)
+
+
 def _free_frame_batch(frame, m, seed):
-    return _staggered_free_batch(frame, frame.base_batch(m), np.random.default_rng(seed))
+    """Full-path free staggered draws: the band proposal with infinite bands,
+    window filled, so every column of each curve's interval is a bridge."""
+    rng = np.random.default_rng(seed)
+    return _band_proposal_batch(frame, frame.base_batch(m), rng, *_free_bands(frame), window=True)[0]
 
 
 def _frame_spec(frame, interval):
@@ -263,30 +270,43 @@ class TestSeparationFrame:
         assert np.all(off >= full.log_weights(batch))
         assert np.any(off > full.log_weights(batch))
 
-    def test_raised_factor_is_a_floor_on_the_inner_interval(self):
+    def test_raised_factor_is_a_floor_on_the_inner_interval(self, monkeypatch):
         cfg = SeparationConfig(k=3, L=1.0, t=100.0, M=1.0, n_samples=10, seed=0)
         frame = _SeparationFrame(cfg)
         rng = np.random.default_rng(21)
         m, n = 400, frame.grid.n
         # steps of 0.5 around each level, so many values sit exactly on it
         steps = rng.choice([-1.0, 0.0, 1.0, 2.0], p=[0.002, 0.3, 0.3, 0.398], size=(m, cfg.k, n))
-        batch = frame.raise_lv[None, :, None] + 0.5 * steps
+        paths = frame.raise_lv[None, :, None] + 0.5 * steps
         left, right = frame.left, frame.right
         expected = np.zeros(m)
         for j in range(cfg.k):
             i0, i1 = frame.grid.index_of(left[j + 1]), frame.grid.index_of(right[j + 1])
-            batch[:, j, :i0] -= 50.0  # outside the inner interval nothing is tested
-            batch[:, j, i1 + 1 :] -= 50.0
-            ok = np.all(batch[:, j, i0 : i1 + 1] >= frame.raise_lv[j], axis=1)
+            paths[:, j, :i0] -= 50.0  # outside the inner interval nothing is tested
+            paths[:, j, i1 + 1 :] -= 50.0
+            ok = np.all(paths[:, j, i0 : i1 + 1] >= frame.raise_lv[j], axis=1)
             expected += np.where(ok, 0.0, -np.inf)
-        got = _channel_log_factor(frame, batch, frame.raise_lv, np.full(cfg.k, np.inf))
+
+        def fill_from_paths(frame, rows, j, stops, rng):
+            # every span of the proposal takes these fixed paths instead of bridges
+            (i0, _), (i1, _) = stops[0], stops[-1]
+            rows[:, j, i0 : i1 + 1] = paths[: rows.shape[0], j, i0 : i1 + 1]
+
+        monkeypatch.setattr(experiments, "_fill_bridges", fill_from_paths)
+        batch = frame.base_batch(m)
+        no_ceiling = np.full(cfg.k, np.inf)
+        lw, got = _channel_log_weights(frame, batch, np.random.default_rng(3), frame.raise_lv, no_ceiling)
         assert np.array_equal(got, expected)
         assert 0 < np.sum(got == 0.0) < m
+        assert np.array_equal(np.isfinite(lw), got == 0.0)
 
     @pytest.mark.parametrize("k, t", [(1, 1000.0), (2, 100.0), (3, 8.0)])
     def test_window_weights_match_per_sample_weights(self, k, t):
         frame = _SeparationFrame(SeparationConfig(k=k, L=1.0, t=t, M=1.0, n_samples=10, seed=0))
-        batch, anchors, _ = _band_proposal_batch(frame, frame.base_batch(40), np.random.default_rng(k))
+        rng = np.random.default_rng(k)
+        batch, anchors, _ = _band_proposal_batch(
+            frame, frame.base_batch(40), rng, frame.band_lo, frame.band_hi, window=True
+        )
         window = batch[:, :, frame.iwl : frame.iwr + 1]
         expected = [
             log_boltzmann_weight(
@@ -302,19 +322,23 @@ class TestSeparationFrame:
     @pytest.mark.parametrize("rows", [64, SWEEP_ROWS])
     @pytest.mark.parametrize("k", [1, 2, 3])
     def test_one_reused_batch_gives_the_fresh_batch_draws(self, k, rows):
-        # the separation runner draws its four proposals into one batch in turn
+        # the separation runner draws its four proposals into one batch in turn;
+        # what each weight reads must not depend on what the batch held before:
+        # every column off the window, and the leading rows of a channel draw
         frame = _SeparationFrame(SeparationConfig(k=k, L=1.0, t=100.0, M=1.0, n_samples=10, seed=0))
         no_ceiling = np.full(k, np.inf)
+        off = np.r_[: frame.iwl + 1, frame.iwr : frame.grid.n]
 
         def draws(batch_for, rng):
             out = []
-            batch = _staggered_free_batch(frame, batch_for(), rng)
-            out.append((batch.copy(), frame.off_window_log_weights(batch)))
-            batch, anchors, lmass = _band_proposal_batch(frame, batch_for(), rng)
-            out.append((batch.copy(), anchors, lmass, frame.off_window_log_weights(batch)))
+            for lo, hi in (_free_bands(frame), (frame.band_lo, frame.band_hi)):
+                batch, anchors, lmass = _band_proposal_batch(frame, batch_for(), rng, lo, hi, window=False)
+                out.append((batch[..., off].copy(), anchors, lmass, frame.off_window_log_weights(batch)))
             for lo, hi in ((frame.band_lo, frame.band_hi), (frame.raise_lv, no_ceiling)):
-                batch, lratio = _channel_proposal_batch(frame, batch_for(), rng, lo, hi)
-                out.append((batch.copy(), lratio, frame.off_window_log_weights(batch)))
+                batch = batch_for()
+                lw, factor = _channel_log_weights(frame, batch, rng, lo, hi)
+                kept = batch[: np.count_nonzero(factor == 0.0)]
+                out.append((kept[..., off].copy(), lw, factor))
             return out
 
         shared = frame.base_batch(rows)
@@ -372,15 +396,22 @@ class TestChannelProposal:
             lo, hi = frame.band_lo, frame.band_hi
         else:
             lo, hi = frame.raise_lv, np.full(k, np.inf)
+
+        def draws(rng):
+            # the anchors and inner spans alone, then one whole proposal
+            batch = frame.base_batch(rows)
+            log_ratio, inside = _channel_anchors(frame, batch, rng, lo, hi)
+            anchored = batch.copy()
+            return (anchored, log_ratio, inside, *_channel_log_weights(frame, batch, rng, lo, hi), batch)
+
         rng = np.random.default_rng(30 + k)
-        got, got_ratio = _channel_proposal_batch(frame, frame.base_batch(rows), rng, lo, hi)
+        got = draws(rng)
         monkeypatch.setattr(experiments, "_channel_anchor", _channel_anchor_formula)
         ref_rng = np.random.default_rng(30 + k)
-        expected, expected_ratio = _channel_proposal_batch(
-            frame, frame.base_batch(rows), ref_rng, lo, hi
-        )
-        assert np.array_equal(got, expected)
-        assert np.array_equal(got_ratio, expected_ratio)
+        expected = draws(ref_rng)
+        for a, b in zip(got, expected, strict=True):
+            assert np.array_equal(a, b)
+        got_ratio = got[1]
         assert np.all(np.isfinite(got_ratio)) and np.unique(got_ratio).size > 1
         assert rng.random() == ref_rng.random()
 
@@ -395,6 +426,123 @@ class TestChannelProposal:
         assert np.array_equal(v, v_ref) and np.array_equal(term, term_ref)
         assert np.all((v >= 2.0) & (v <= 3.5))
         assert rng.random() == ref_rng.random()
+
+
+class TestFreeProposalLaw:
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_moments_are_the_staggered_bridge_moments(self, k):
+        # the free draw takes each curve's values at -L and L from their exact
+        # bridge marginals and fills only the off-window pieces; each curve must
+        # still be a bridge from ext[j] at left[j] to ext[j] at right[j]: mean
+        # ext[j] and covariance (s - left)(right - t) / (right - left), s <= t
+        frame = _SeparationFrame(SeparationConfig(k=k, L=1.0, t=100.0, M=1.0, n_samples=10, seed=0))
+        m, chunk = 20_000, 5_000
+        # per curve: the two window edges, then one column inside each off-window piece
+        cols = [
+            (frame.iwl, frame.iwr, (frame.li[j] + frame.iwl) // 2, (frame.iwr + frame.ri[j]) // 2)
+            for j in range(k)
+        ]
+        rng = np.random.default_rng(40 + k)
+        batch = frame.base_batch(chunk)
+        parts = []
+        for _ in range(m // chunk):
+            _band_proposal_batch(frame, batch, rng, *_free_bands(frame), window=False)
+            parts.append(np.stack([batch[:, j, cols[j]] for j in range(k)], axis=1))
+        values = np.concatenate(parts)
+        for j in range(k):
+            left, right, c = frame.left[j], frame.right[j], frame.ext[j]
+            s = frame.pts[list(cols[j])]
+            assert left < s[2] < s[0] < s[1] < s[3] < right
+            var = (s - left) * (right - s) / (right - left)
+            x = values[:, j]
+            assert np.all(np.abs(x.mean(axis=0) - c) <= 4.0 * np.sqrt(var / m))
+            assert np.all(np.abs(x.var(axis=0, ddof=1) - var) <= 4.0 * var * math.sqrt(2.0 / (m - 1)))
+            cov = (s[0] - left) * (right - s[1]) / (right - left)
+            got = np.cov(x[:, 0], x[:, 1])[0, 1]
+            assert abs(got - cov) <= 4.0 * math.sqrt((var[0] * var[1] + cov * cov) / m)
+
+
+def _full_path_channel_factor(frame, batch, lo_vec, hi_vec):
+    """Reference: the log channel indicator of whole paths, every column of
+    each curve's own interval drawn, as one plain formula per curve."""
+    out = np.zeros(batch.shape[0])
+    for j in range(frame.cfg.k):
+        lo, hi = float(lo_vec[j]), float(hi_vec[j])
+        in0, in1 = int(frame.li[j + 1]), int(frame.ri[j + 1])
+        own0, own1 = int(frame.li[j]), int(frame.ri[j])
+        inner = batch[:, j, in0 : in1 + 1]
+        ok = np.all((inner >= lo) & (inner <= hi), axis=1)
+        ok &= np.all(batch[:, j, own0 : in0 + 1] <= hi, axis=1)
+        ok &= np.all(batch[:, j, in1 : own1 + 1] <= hi, axis=1)
+        out += np.where(ok, 0.0, -np.inf)
+    return out
+
+
+def _survivor_recount(frame, batch, rng, lo, hi):
+    """Run one channel proposal on `batch` and check it against a replay of
+    its inner draws; returns (log_weights, log_factor, full-path recount,
+    inner-channel mask)."""
+    m, k = batch.shape[0], frame.cfg.k
+    replay = frame.base_batch(m)
+    log_ratio, inside = _channel_anchors(frame, replay, copy.deepcopy(rng), lo, hi)
+    lw, factor = _channel_log_weights(frame, batch, rng, lo, hi)
+    keep = np.flatnonzero(inside)
+    n = keep.size
+    # a sample outside the inner channel has weight 0, outer spans or not
+    assert np.all(lw[~inside] == -np.inf) and np.all(factor[~inside] == -np.inf)
+    # the kept samples' leading rows hold their own inner spans off the window;
+    # their window, which no weight reads, comes from the replay
+    full = batch[:n].copy()
+    for j in range(k):
+        own = np.r_[frame.li[j + 1] : frame.iwl + 1, frame.iwr : frame.ri[j + 1] + 1]
+        assert np.array_equal(full[:, j, own], replay[keep, j][:, own])
+    full[:, :, frame.iwl + 1 : frame.iwr] = replay[keep, :, frame.iwl + 1 : frame.iwr]
+    # every kept row is inside the inner channel, so its full-path factor is the outer one
+    outer = _full_path_channel_factor(frame, full, lo, hi)
+    assert np.array_equal(factor[keep], outer)
+    expected = log_ratio[keep] + frame.off_window_log_weights(batch[:n]) + outer
+    assert lw[keep].tobytes() == expected.tobytes()
+    recount = np.empty(m)
+    recount[keep] = outer
+    recount[~inside] = _full_path_channel_factor(frame, replay[~inside], lo, hi)
+    return lw, factor, recount, inside
+
+
+class TestChannelSurvivors:
+    @pytest.mark.parametrize("channel", ["banded", "raised", "low"])
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_survivors_carry_the_full_path_weight(self, k, channel):
+        frame = _SeparationFrame(SeparationConfig(k=k, L=1.0, t=100.0, M=1.0, n_samples=10, seed=0))
+        if channel == "banded":
+            lo, hi = frame.band_lo, frame.band_hi
+        elif channel == "raised":
+            lo, hi = frame.raise_lv, np.full(k, np.inf)
+        else:
+            # a band low enough that some outer spans cross its ceiling
+            lo, hi = frame.band_lo - 4.0, frame.band_lo - 1.5
+        m = 2000
+        rng = np.random.default_rng(50 + k)
+        lw, factor, recount, inside = _survivor_recount(frame, frame.base_batch(m), rng, lo, hi)
+        assert 0 < np.sum(factor == 0.0) < m
+        assert np.array_equal(factor, recount)
+        assert np.unique(lw[np.isfinite(lw)]).size > 1
+        if channel == "low":
+            assert np.sum(factor == 0.0) < np.sum(inside)
+
+    def test_report_counts_match_a_full_path_recount(self):
+        cfg = SeparationConfig(k=1, L=1.0, t=1000.0, M=1.0, n_samples=4000, seed=24)
+        detail = run_separation_experiment(cfg).check("band_implies_separation")[1]
+        # replay the one shard's stream: the free and separated draws, then the banded one
+        frame = _SeparationFrame(cfg)
+        rng = np.random.default_rng(np.random.SeedSequence(cfg.seed).spawn(1)[0])
+        batch = frame.base_batch(cfg.n_samples)
+        for lo, hi in (_free_bands(frame), (frame.band_lo, frame.band_hi)):
+            _band_proposal_batch(frame, batch, rng, lo, hi, window=False)
+        _, factor, recount, _ = _survivor_recount(frame, batch, rng, frame.band_lo, frame.band_hi)
+        positive, violations = int(np.sum(recount > -np.inf)), int(np.sum(recount > 1e-12))
+        assert positive == np.sum(factor > -np.inf) > 0 and violations == 0
+        expected = f"{positive} of {cfg.n_samples} proposal samples carried band mass, {violations} samplewise"
+        assert expected in detail
 
 
 class TestZLowerBound:

@@ -1,6 +1,4 @@
-import importlib.util
 import math
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -61,12 +59,7 @@ from gibbslines.gibbs import (
     sample_conditional_batch,
 )
 
-
-def _load_script(name):
-    spec = importlib.util.spec_from_file_location(name, Path(__file__).resolve().parents[1] / "scripts" / f"{name}.py")
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+from conftest import load_script
 
 
 def _single_curve_spec(h, lower, x=0.0, y=0.0, interval=(0.0, 1.0)):
@@ -786,7 +779,7 @@ class TestMonotoneCoupling:
 # 8000 midpoint uniforms, at the site scale of a 1/64-spaced grid. The soft
 # cases, the reference law and the KS itself come from
 # scripts/site_law_table.py, which prints the measured values quoted here.
-_LAW = _load_script("site_law_table")
+_LAW = load_script("site_law_table")
 SITE_SIGMA, SITE_TRAP, SITE_U = _LAW.SITE_SIGMA, _LAW.SITE_TRAP, _LAW.SITE_U
 _site_columns, _site_draws, _reference_law = _LAW.site_columns, _LAW.site_draws, _LAW.reference_law
 # Soft bound 2e-5. Measured with the 1024-point trapezoid lattice this kernel
