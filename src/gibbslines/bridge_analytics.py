@@ -191,7 +191,7 @@ def sample_bridge_minima(
 def _sliding_range_sup(d, n, seed, grid_n, x, y, interval) -> np.ndarray:
     """Grid-level sup of |B(u) - B(v)| over |u - v| <= d for each of n bridges
     drawn with default_rng(seed); shape (n,)."""
-    from scipy.ndimage import maximum_filter1d, minimum_filter1d
+    from scipy.ndimage import maximum_filter1d, minimum_filter1d  # deferred: only this pass needs it
 
     a, b = interval
     _check_interval(a, b)

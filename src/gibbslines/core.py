@@ -181,6 +181,8 @@ class BoundaryData:
 def _capped_exp(arg: np.ndarray, cap: float) -> np.ndarray:
     """exp(arg), +inf past the cap, computed in place in arg: fresh temporaries
     of (batch, lattice) size cost more in page faults than the arithmetic."""
+    if arg.max(initial=-np.inf) <= cap:  # False on NaN; the common case needs no mask
+        return np.exp(arg, out=arg)
     over = arg > cap
     np.minimum(arg, cap, out=arg)
     np.exp(arg, out=arg)

@@ -24,12 +24,10 @@ order. Plain means come from McEstimate.from_samples on the merged arrays.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .bridge_analytics import _sliding_range_sup, corridor_survival, fit_decay_constant
 from .bridge_sampler import bridge_batch
@@ -133,6 +131,8 @@ class _LogMoments:
 
     @classmethod
     def from_logs(cls, log_w: np.ndarray) -> "_LogMoments":
+        from scipy.special import logsumexp  # loaded at the first fold, not at import
+
         lw = np.asarray(log_w, dtype=np.float64)
         return cls(
             log_sum=float(logsumexp(lw)),
@@ -206,6 +206,8 @@ def _run_shards(fn, n: int, seed: int, threads: int) -> tuple:
     if threads <= 1 or len(counts) <= 1:
         parts = [fn(m, rng) for m, rng in zip(counts, rngs)]
     else:
+        from concurrent.futures import ThreadPoolExecutor  # only a threaded run needs it
+
         with ThreadPoolExecutor(max_workers=threads) as pool:
             parts = list(pool.map(fn, counts, rngs))
     merged = []

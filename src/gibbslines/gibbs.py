@@ -25,6 +25,11 @@ indicator's O(sqrt(spacing)) bias. The heat bath's hard-wall site law, a Gaussia
 truncated to the neighbours, keeps the grid skeleton's law instead.
 estimate_Z and the exact samplers take one entrance/exit row per draw from a
 (B, k) spec: B rows cost one Python call.
+
+scipy.special is imported at the first truncated-Gaussian draw (the hard-wall
+heat bath and the band draws of the separation runners), not with this module,
+so ordering runs, soft heat-bath chains, estimate_Z and the exact samplers
+never load it.
 """
 
 from __future__ import annotations
@@ -34,7 +39,6 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.special import log_ndtr, ndtri_exp
 
 from .bridge_analytics import segment_log_survival
 from .bridge_sampler import free_ensemble_batch
@@ -634,6 +638,9 @@ def _truncated_gaussian(mu, sigma, lo, hi, u):
     window whose mass is not representable (zero width, or beyond log_ndtr's
     range).
     """
+    # deferred: importing scipy.special costs a fresh process about 0.15 s
+    from scipy.special import log_ndtr, ndtri_exp
+
     if np.any(lo > hi):
         raise OrderViolationInput("hard-wall neighbours cross at a site")
     a = (lo - mu) / sigma

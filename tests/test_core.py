@@ -15,6 +15,7 @@ from gibbslines.core import (
     McEstimate,
     OrderedHamiltonian,
     ScaledExpHamiltonian,
+    _capped_exp,
     constant_curve,
 )
 from gibbslines.errors import (
@@ -147,6 +148,31 @@ class TestHamiltonians:
         assert _at(ExpHamiltonian(), 800.0) == math.inf
         out = ExpHamiltonian().integrand(np.array([-np.inf, 0.0, 800.0]))
         assert out[0] == 0.0 and out[1] == 1.0 and out[2] == math.inf
+
+    @pytest.mark.parametrize("values", [
+        np.linspace(-30.0, 30.0, 61),  # finite, all under the cap
+        np.array([-5.0, 699.9, 700.0, 700.5, 1e300]),  # over the cap
+        np.array([-np.inf, 0.0, np.inf]),
+        np.array([np.nan, 1.0, -np.inf]),
+        np.array([1.0, np.nan, 800.0]),
+        np.array(3.5),  # 0-d, under the cap
+        np.array(900.0),  # 0-d, over the cap
+        np.empty(0),
+        np.empty((2, 0, 3)),
+        np.linspace(-800.0, 800.0, 24).reshape(2, 3, 4),
+    ])
+    def test_capped_exp_matches_the_masked_formula(self, values):
+        cap = 700.0
+        ref = values.copy()
+        over = ref > cap
+        np.minimum(ref, cap, out=ref)
+        np.exp(ref, out=ref)
+        ref[over] = np.inf
+        arg = values.copy()
+        out = _capped_exp(arg, cap)
+        assert out is arg  # computed in place
+        assert out.dtype == ref.dtype and out.shape == ref.shape
+        assert out.tobytes() == ref.tobytes()
 
     def test_ordered_integrand_handles_sentinels(self):
         out = OrderedHamiltonian().integrand(np.array([-np.inf, -1.0, 0.0, 2.0]))
