@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -358,6 +358,11 @@ class _SeparationFrame:
         self.win_grid = Grid(-L, L, self.iwr - self.iwl + 1)
         self.win_floor = Curve(self.win_grid, self.floor_vals[self.iwl : self.iwr + 1])
         self.window = _block(self.window_spec(self.ext, self.ext), self.win_grid)
+        # channel proposals: curve j's anchors are the interval ends inside its
+        # next narrower interval; the midpoint levels fill the spans between them
+        self.anchor_pts = [sorted(map(float, np.r_[self.left[j + 1 :], self.right[j + 1 :]])) for j in range(k)]
+        self.anchor_idx = [np.array([self.grid.index_of(p) for p in pts]) for pts in self.anchor_pts]
+        self.levels = [_midpoint_levels(self.pts, idx) for idx in self.anchor_idx]
 
     def off_window_log_weights(self, batch: np.ndarray) -> np.ndarray:
         """Log weight off the window of each ensemble of an (m, k, n) batch:
@@ -369,12 +374,67 @@ class _SeparationFrame:
         """A fresh (m, k, n) batch of the constant extensions. A draw writes
         only inside curve j's own interval, and there only what its weight
         reads, so one batch takes successive draws; the rest (free and
-        separated window interiors, channel rows past the kept ones) is stale."""
+        separated window interiors, channel rows past the kept ones, and a
+        dropped channel sample's values past the level that failed) is stale."""
         return np.broadcast_to(self.ext[None, :, None], (m, self.cfg.k, self.grid.n)).copy()
 
     def window_spec(self, x_vec: np.ndarray, y_vec: np.ndarray) -> ConditionalSpec:
         bd = BoundaryData(x_vec=x_vec, y_vec=y_vec, upper=PLUS_INF, lower=self.win_floor)
         return ConditionalSpec(1, self.cfg.k, (-self.cfg.L, self.cfg.L), bd, self.h)
+
+
+class _MidpointLevel(NamedTuple):
+    """One level of an index bisection: the grid indices drawn at this level,
+    the indices of their two already-drawn ends, and the bridge conditional
+    of each given its ends, mean w_left v_left + w_right v_right and sd."""
+
+    idx: np.ndarray
+    left: np.ndarray
+    right: np.ndarray
+    w_left: np.ndarray
+    w_right: np.ndarray
+    sd: np.ndarray
+
+
+def _midpoint_levels(pts: np.ndarray, stops: np.ndarray) -> list[_MidpointLevel]:
+    """The midpoint-first (Levy) construction of bridges between consecutive
+    stop indices: level by level, the middle index of every gap still open,
+    left to right; every index strictly between two stops is drawn once."""
+    gaps = list(zip(stops[:-1], stops[1:]))
+    levels = []
+    while gaps := [(a, c) for a, c in gaps if c - a >= 2]:
+        a, c = np.array(gaps).T
+        b = (a + c) // 2
+        span = pts[c] - pts[a]
+        w_left, w_right = (pts[c] - pts[b]) / span, (pts[b] - pts[a]) / span
+        levels.append(_MidpointLevel(b, a, c, w_left, w_right, np.sqrt(w_left * (pts[b] - pts[a]))))
+        gaps = [half for a_, b_, c_ in zip(a, b, c) for half in ((a_, b_), (b_, c_))]
+    return levels
+
+
+def _draw_level(batch: np.ndarray, j: int, rows: np.ndarray, level: _MidpointLevel, rng) -> np.ndarray:
+    """Draw one midpoint level of curve j for the given rows of a batch, each
+    value from its bridge conditional given its two ends; writes the values
+    into the batch and returns them, shape (rows, level size)."""
+    cur = batch[:, j]
+    z = rng.standard_normal((rows.size, level.idx.size))
+    z *= level.sd
+    z += cur[np.ix_(rows, level.left)] * level.w_left
+    z += cur[np.ix_(rows, level.right)] * level.w_right
+    cur[np.ix_(rows, level.idx)] = z
+    return z
+
+
+def _fill_midpoints(frame: _SeparationFrame, batch: np.ndarray, j: int, rows: np.ndarray, lo, hi, rng):
+    """Fill curve j between its anchors, already in the batch, level by level
+    (frame.levels[j]) for the rows that stay in [lo, hi] (inclusive); returns
+    those rows. A row drops out at the first level that leaves the band and
+    draws nothing more: it keeps the values that failed and stale values
+    past them. With an infinite band every row gets complete bridges."""
+    for level in frame.levels[j]:
+        v = _draw_level(batch, j, rows, level, rng)
+        rows = rows[np.all((v >= lo) & (v <= hi), axis=1)]
+    return rows
 
 
 def _fill_bridges(frame: _SeparationFrame, rows: np.ndarray, j: int, stops: list, rng):
@@ -413,33 +473,40 @@ def _band_proposal_batch(frame: _SeparationFrame, batch: np.ndarray, rng, lo_vec
     return batch, anchors, log_mass
 
 
-def _sine_tilted_height(width: float, g: np.ndarray, u: np.ndarray):
-    """Sample heights from density proportional to exp(-g x) sin(pi x / width)
-    on (0, width).
+def _sine_tilted_height(width: float, g: np.ndarray, rng):
+    """Sample heights from density proportional to exp(-|g| x) sin(pi x / width)
+    on (0, width), one per entry of g, by exact rejection.
 
     This is the stationary profile of a bridge conditioned to stay in a slab
     while its unconditioned mean sags below the floor at linear rate g: the
     exponential factor carries the sag, the sine factor the edge repulsion.
-    The CDF is elementary, so inversion is a bisection on a monotone function.
-    Negative g (mean above the floor) is handled by mirroring the slab.
+    With b = pi / width, a steep tilt (|g| >= b) proposes from the envelope
+    b x exp(-|g| x), a Gamma(2, 1/|g|) law, and accepts with probability
+    sin(b x) / (b x); a shallow one proposes from exp(-|g| x) truncated to
+    (0, width), inverted in closed form, and accepts with probability sin(b x).
+    A proposal at or past an edge is rejected. Either envelope accepts at
+    least 52 % of its proposals.
+    Each round draws three uniforms per pending height, so how much of the
+    stream a call takes depends on its draws. Negative g (mean above the
+    floor) is handled by mirroring the slab.
     """
     b = math.pi / width
     gg = np.abs(g)
-    norm = b * (1.0 + np.exp(-gg * width)) / (gg * gg + b * b)
-    target = u * (norm * (gg * gg + b * b))
-    x_lo = np.zeros_like(gg)
-    x_hi = np.full_like(gg, width)
-    for _ in range(52):
-        mid = 0.5 * (x_lo + x_hi)
-        decay = np.exp(-gg * mid)
-        phase = b * mid
-        f = b * (1.0 - decay * np.cos(phase)) - gg * decay * np.sin(phase)
-        below = f < target
-        x_lo = np.where(below, mid, x_lo)
-        x_hi = np.where(below, x_hi, mid)
-    x = 0.5 * (x_lo + x_hi)
-    x = np.clip(x, 1e-12 * width, (1.0 - 1e-12) * width)
-    return np.where(g < 0, width - x, x)
+    out = np.empty_like(gg)
+    todo = np.arange(gg.size)
+    while todo.size:
+        gt = gg[todo]
+        u0, u1, u2 = rng.random((3, todo.size))
+        steep = gt >= b
+        # shallow: exp(-g x) on (0, width) by inversion; g = 0 is the uniform law
+        x = np.divide(-np.log1p(u0 * np.expm1(-gt * width)), gt, out=u0 * width, where=gt > 0)
+        # steep: Gamma(2, 1/g) as the sum of two exponentials; 1 - u lies in (0, 1]
+        x[steep] = -np.log((1.0 - u0[steep]) * (1.0 - u1[steep])) / gt[steep]
+        envelope = np.where(steep, b * x, 1.0)  # over exp(-g x); sin(b x) is below it
+        accept = (x < width) & (u2 * envelope < np.sin(b * x))
+        out[todo[accept]] = x[accept]
+        todo = todo[~accept]
+    return np.where(g < 0, width - out, out)
 
 
 def _sine_tilted_log_pdf(width: float, g: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -477,9 +544,9 @@ def _channel_anchor(mu, sd, lo: float, hi: float, rng, m: int):
     bounded in the sagging layer at the floor that dominates the free
     conditional. Either component alone leaves a heavy weight tail.
 
-    The sine-tilted height is bisected only for the samples that take the
-    tilted component, but its uniforms are drawn for all m, so the stream
-    is the same whichever component each sample picks.
+    The sine-tilted height is drawn by rejection only for the samples that
+    take the tilted component, so the stream depends on which component
+    each sample picks.
     """
     mu = np.broadcast_to(np.asarray(mu, dtype=float), (m,))
     sd = np.broadcast_to(np.asarray(sd, dtype=float), (m,))
@@ -487,10 +554,9 @@ def _channel_anchor(mu, sd, lo: float, hi: float, rng, m: int):
     v_tn, log_mass = _band_draw(mu, sd, lo, hi, rng, m)
     g = (lo - mu) / (sd * sd)
     if np.isfinite(hi):
-        u = rng.random(m)
         tilt = ~pick_tn
         v = v_tn.copy()
-        v[tilt] = lo + _sine_tilted_height(hi - lo, g[tilt], u[tilt])
+        v[tilt] = lo + _sine_tilted_height(hi - lo, g[tilt], rng)
         lq_tilt = _sine_tilted_log_pdf(hi - lo, g, v - lo)
     else:
         g = np.maximum(g, 0.25 / sd)
@@ -505,7 +571,7 @@ def _channel_anchor(mu, sd, lo: float, hi: float, rng, m: int):
 
 def _channel_anchors(frame: _SeparationFrame, batch: np.ndarray, rng, lo_vec, hi_vec):
     """Anchors pushed into a channel per curve, and the bridges between them,
-    for every sample of a base batch.
+    for the samples of a base batch that stay inside the channel.
 
     The anchor points of curve j are the nested interval endpoints inside its
     next narrower interval. The outermost pair is conditioned on the pins far
@@ -513,39 +579,45 @@ def _channel_anchors(frame: _SeparationFrame, batch: np.ndarray, rng, lo_vec, hi
     densities that match both the sag of the free conditional and the edge
     repulsion of the conditioned path (sine profile for a two-sided band,
     linear-times-exponential for a one-sided floor); anchors conditioned only
-    on in-channel neighbors use plain truncated Gaussians. Bridges fill the
-    gaps, and the log density ratio d(free)/d(proposal) accumulates exact
-    per-anchor terms. Proposals that instead pin every grid step into the
-    channel, or that leave the anchors at their sagging conditional layer,
-    both lose the effective sample size to weight spread once the channel
-    sits several standard deviations above the pins.
+    on in-channel neighbors use plain truncated Gaussians. The log density
+    ratio d(free)/d(proposal) accumulates exact per-anchor terms. Proposals
+    that instead pin every grid step into the channel, or that leave the
+    anchors at their sagging conditional layer, both lose the effective
+    sample size to weight spread once the channel sits several standard
+    deviations above the pins.
+
+    The spans between anchors are filled midpoint first (_fill_midpoints),
+    and a sample is dropped at the first level that leaves [lo_vec[j],
+    hi_vec[j]], since its weight is 0 whatever the rest of its path. Curve
+    j >= 1 is drawn only for the samples still inside. A kept sample ends
+    with complete bridges between its anchors, so its law is that of a
+    full-path draw.
     Returns (log_ratio, inside): inside marks the samples whose every curve
-    j stays in [lo_vec[j], hi_vec[j]] on its next narrower interval.
+    j stays in [lo_vec[j], hi_vec[j]] on its next narrower interval; the
+    log_ratio of the other samples is partial.
     """
-    cfg = frame.cfg
     m = batch.shape[0]
     log_ratio = np.zeros(m)
-    inside = np.ones(m, dtype=bool)
-    for j in range(cfg.k):
+    rows = np.arange(m)
+    for j in range(frame.cfg.k):
         c = float(frame.ext[j])
         lj, rj = float(frame.left[j]), float(frame.right[j])
         lo, hi = float(lo_vec[j]), float(hi_vec[j])
-        anchor_pts = sorted(map(float, np.r_[frame.left[j + 1 :], frame.right[j + 1 :]]))
-        p_first, p_last = anchor_pts[0], anchor_pts[-1]
-
-        v_first, term = _channel_anchor(*_bridge_point(lj, c, p_first, rj, c), lo, hi, rng, m)
-        log_ratio += term
-        v_last, term = _channel_anchor(*_bridge_point(p_first, v_first, p_last, rj, c), lo, hi, rng, m)
-        log_ratio += term
-
-        values = {p_first: v_first, p_last: v_last}
-        for prev, p in zip(anchor_pts, anchor_pts[1:-1]):
-            mu_sd = _bridge_point(prev, values[prev], p, p_last, v_last)
-            values[p], lm = _band_draw(*mu_sd, lo, hi, rng, m)
-            log_ratio += lm
-        _fill_bridges(frame, batch, j, [(frame.grid.index_of(p), values[p]) for p in anchor_pts], rng)
-        inner = batch[:, j, frame.li[j + 1] : frame.ri[j + 1] + 1]
-        inside &= np.all((inner >= lo) & (inner <= hi), axis=1)
+        pts, n = frame.anchor_pts[j], rows.size
+        v_first, ratio = _channel_anchor(*_bridge_point(lj, c, pts[0], rj, c), lo, hi, rng, n)
+        v_last, term = _channel_anchor(*_bridge_point(pts[0], v_first, pts[-1], rj, c), lo, hi, rng, n)
+        ratio += term
+        values = [v_first]
+        for prev, p in zip(pts, pts[1:-1]):
+            v, lm = _band_draw(*_bridge_point(prev, values[-1], p, pts[-1], v_last), lo, hi, rng, n)
+            values.append(v)
+            ratio += lm
+        values.append(v_last)
+        log_ratio[rows] += ratio
+        batch[rows[:, None], j, frame.anchor_idx[j]] = np.stack(values, axis=1)
+        rows = _fill_midpoints(frame, batch, j, rows, lo, hi, rng)
+    inside = np.zeros(m, dtype=bool)
+    inside[rows] = True
     return log_ratio, inside
 
 

@@ -32,6 +32,7 @@ from gibbslines.experiments import (
     _channel_anchor,
     _channel_anchors,
     _channel_log_weights,
+    _fill_midpoints,
     _gamma_tilted_height,
     _gamma_tilted_log_pdf,
     _log_normal_pdf,
@@ -284,14 +285,23 @@ class TestSeparationFrame:
             i0, i1 = frame.grid.index_of(left[j + 1]), frame.grid.index_of(right[j + 1])
             paths[:, j, :i0] -= 50.0  # outside the inner interval nothing is tested
             paths[:, j, i1 + 1 :] -= 50.0
+            # the anchors are drawn inside the channel, whatever the paths say there
+            paths[:, j, frame.anchor_idx[j]] = frame.raise_lv[j]
             ok = np.all(paths[:, j, i0 : i1 + 1] >= frame.raise_lv[j], axis=1)
             expected += np.where(ok, 0.0, -np.inf)
 
+        def level_from_paths(batch, j, rows, level, rng):
+            # every midpoint level takes these fixed paths' values instead of bridge draws
+            values = paths[rows, j][:, level.idx]
+            batch[rows[:, None], j, level.idx] = values
+            return values
+
         def fill_from_paths(frame, rows, j, stops, rng):
-            # every span of the proposal takes these fixed paths instead of bridges
+            # so do the outer spans, filled for the leading rows
             (i0, _), (i1, _) = stops[0], stops[-1]
             rows[:, j, i0 : i1 + 1] = paths[: rows.shape[0], j, i0 : i1 + 1]
 
+        monkeypatch.setattr(experiments, "_draw_level", level_from_paths)
         monkeypatch.setattr(experiments, "_fill_bridges", fill_from_paths)
         batch = frame.base_batch(m)
         no_ceiling = np.full(cfg.k, np.inf)
@@ -349,33 +359,36 @@ class TestSeparationFrame:
                 assert np.array_equal(a, b)
 
 
-def _bisected_sine_height(width, g, u):
-    """Reference: _sine_tilted_height's bisection as one plain expression per step."""
+def _rejected_sine_height(width, g, rng):
+    """Reference: _sine_tilted_height's rejection rounds as plain expressions,
+    both proposals made for every pending height and picked by np.where."""
     b = math.pi / width
     gg = np.abs(g)
-    norm = b * (1.0 + np.exp(-gg * width)) / (gg * gg + b * b)
-    target = u * (norm * (gg * gg + b * b))
-    x_lo, x_hi = np.zeros_like(gg), np.full_like(gg, width)
-    for _ in range(52):
-        mid = 0.5 * (x_lo + x_hi)
-        f = b * (1.0 - np.exp(-gg * mid) * np.cos(b * mid)) - gg * np.exp(-gg * mid) * np.sin(b * mid)
-        below = f < target
-        x_lo = np.where(below, mid, x_lo)
-        x_hi = np.where(below, x_hi, mid)
-    x = np.clip(0.5 * (x_lo + x_hi), 1e-12 * width, (1.0 - 1e-12) * width)
+    x = np.full(gg.shape, np.nan)
+    while np.isnan(x).any():
+        todo = np.flatnonzero(np.isnan(x))
+        gt = gg[todo]
+        u0, u1, u2 = rng.random((3, todo.size))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            shallow = np.where(gt > 0, -np.log1p(u0 * np.expm1(-gt * width)) / gt, u0 * width)
+            steep = -np.log((1.0 - u0) * (1.0 - u1)) / gt
+        prop = np.where(gt >= b, steep, shallow)
+        accept = (prop < width) & (u2 * np.where(gt >= b, b * prop, 1.0) < np.sin(b * prop))
+        x[todo[accept]] = prop[accept]
     return np.where(g < 0, width - x, x)
 
 
 def _channel_anchor_formula(mu, sd, lo, hi, rng, m):
-    """Reference: the channel anchor with the tilted height drawn for all m
-    samples and the component picked by np.where."""
+    """Reference: the channel anchor with each sample's component picked one
+    sample at a time; the tilted samples take the tilted heights in order."""
     mu = np.broadcast_to(np.asarray(mu, dtype=float), (m,))
     sd = np.broadcast_to(np.asarray(sd, dtype=float), (m,))
     pick_tn = rng.random(m) < 0.5
     v_tn, log_mass = _band_draw(mu, sd, lo, hi, rng, m)
     g = (lo - mu) / (sd * sd)
     if np.isfinite(hi):
-        v = np.where(pick_tn, v_tn, lo + _bisected_sine_height(hi - lo, g, rng.random(m)))
+        heights = iter(_rejected_sine_height(hi - lo, g[~pick_tn], rng))
+        v = np.array([v_tn[i] if pick_tn[i] else lo + next(heights) for i in range(m)])
         lq_tilt = _sine_tilted_log_pdf(hi - lo, g, v - lo)
     else:
         g = np.maximum(g, 0.25 / sd)
@@ -390,7 +403,7 @@ class TestChannelProposal:
     @pytest.mark.parametrize("rows", [64, SWEEP_ROWS])
     @pytest.mark.parametrize("channel", ["banded", "raised"])
     @pytest.mark.parametrize("k", [1, 2, 3])
-    def test_batch_is_bitwise_the_all_samples_formula(self, k, channel, rows, monkeypatch):
+    def test_batch_is_bitwise_the_plain_formula(self, k, channel, rows, monkeypatch):
         frame = _SeparationFrame(SeparationConfig(k=k, L=1.0, t=100.0, M=1.0, n_samples=10, seed=0))
         if channel == "banded":
             lo, hi = frame.band_lo, frame.band_hi
@@ -462,6 +475,57 @@ class TestFreeProposalLaw:
             assert abs(got - cov) <= 4.0 * math.sqrt((var[0] * var[1] + cov * cov) / m)
 
 
+class TestMidpointFill:
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_infinite_band_gives_the_bridge_moments(self, k):
+        # midpoint-first fills of curve 0 between fixed anchors, with nothing
+        # dropped, must be bridges between consecutive anchors: mean the chord
+        # between them, covariance (s - a)(b - t) / (b - a) for a <= s <= t <= b
+        frame = _SeparationFrame(SeparationConfig(k=k, L=1.0, t=100.0, M=1.0, n_samples=10, seed=0))
+        stops = frame.anchor_idx[0]
+        anchors = np.array([0.5, -1.0, 2.0, 0.3])[: stops.size]
+        # per span: a column off its middle, one on the other side, and the span
+        cols = [(a + (c - a) // 4 + 1, a + 3 * (c - a) // 4 - 1, a, c) for a, c in zip(stops, stops[1:])]
+        m, chunk = 20_000, 4_000
+        rng = np.random.default_rng(60 + k)
+        batch = frame.base_batch(chunk)
+        parts = []
+        for _ in range(m // chunk):
+            batch[:, 0, stops] = anchors
+            rows = _fill_midpoints(frame, batch, 0, np.arange(chunk), -np.inf, np.inf, rng)
+            assert np.array_equal(rows, np.arange(chunk))
+            parts.append(batch[:, 0, [c for s, t, _, _ in cols for c in (s, t)]].copy())
+        values = np.concatenate(parts)
+        assert np.array_equal(batch[:, 0, stops], np.broadcast_to(anchors, (chunk, stops.size)))
+        for n, (s, t, a, c) in enumerate(cols):
+            pa, pc = frame.pts[a], frame.pts[c]
+            va, vc = anchors[n], anchors[n + 1]
+            p = frame.pts[[s, t]]
+            assert pa < p[0] < p[1] < pc
+            mean = va + (vc - va) * (p - pa) / (pc - pa)
+            var = (p - pa) * (pc - p) / (pc - pa)
+            x = values[:, 2 * n : 2 * n + 2]
+            assert np.all(np.abs(x.mean(axis=0) - mean) <= 4.0 * np.sqrt(var / m))
+            assert np.all(np.abs(x.var(axis=0, ddof=1) - var) <= 4.0 * var * math.sqrt(2.0 / (m - 1)))
+            cov = (p[0] - pa) * (pc - p[1]) / (pc - pa)
+            got = np.cov(x[:, 0], x[:, 1])[0, 1]
+            assert abs(got - cov) <= 4.0 * math.sqrt((var[0] * var[1] + cov * cov) / m)
+
+    def test_levels_draw_every_inner_column_once(self):
+        frame = _SeparationFrame(SeparationConfig(k=3, L=1.5, t=100.0, M=2.0, n_samples=10, seed=0))
+        for j in range(3):
+            stops = frame.anchor_idx[j]
+            drawn = np.concatenate([level.idx for level in frame.levels[j]])
+            inner = np.setdiff1d(np.arange(stops[0], stops[-1] + 1), stops)
+            assert np.array_equal(np.sort(drawn), inner)
+            known = set(stops)
+            for level in frame.levels[j]:
+                # each level's ends are drawn before it, and its indices lie between them
+                assert known >= set(level.left) | set(level.right)
+                assert np.all((level.left < level.idx) & (level.idx < level.right))
+                known |= set(level.idx)
+
+
 def _full_path_channel_factor(frame, batch, lo_vec, hi_vec):
     """Reference: the log channel indicator of whole paths, every column of
     each curve's own interval drawn, as one plain formula per curve."""
@@ -478,6 +542,16 @@ def _full_path_channel_factor(frame, batch, lo_vec, hi_vec):
     return out
 
 
+def _inner_channel_ok(frame, batch, lo_vec, hi_vec):
+    """Reference: the samples whose every curve j stays in [lo_vec[j],
+    hi_vec[j]] on every column of its next narrower interval."""
+    ok = np.ones(batch.shape[0], dtype=bool)
+    for j in range(frame.cfg.k):
+        inner = batch[:, j, frame.li[j + 1] : frame.ri[j + 1] + 1]
+        ok &= np.all((inner >= lo_vec[j]) & (inner <= hi_vec[j]), axis=1)
+    return ok
+
+
 def _survivor_recount(frame, batch, rng, lo, hi):
     """Run one channel proposal on `batch` and check it against a replay of
     its inner draws; returns (log_weights, log_factor, full-path recount,
@@ -487,6 +561,9 @@ def _survivor_recount(frame, batch, rng, lo, hi):
     log_ratio, inside = _channel_anchors(frame, replay, copy.deepcopy(rng), lo, hi)
     lw, factor = _channel_log_weights(frame, batch, rng, lo, hi)
     keep = np.flatnonzero(inside)
+    # the midpoint-first test keeps exactly the samples whose whole inner paths
+    # stay in the channel: a dropped row still holds the value that failed it
+    assert np.array_equal(inside, _inner_channel_ok(frame, replay, lo, hi))
     n = keep.size
     # a sample outside the inner channel has weight 0, outer spans or not
     assert np.all(lw[~inside] == -np.inf) and np.all(factor[~inside] == -np.inf)
@@ -856,12 +933,55 @@ class TestProposalHelpers:
     def test_sine_tilted_samples_match_pdf_mean(self):
         rng = np.random.default_rng(3)
         g = np.full(200000, 5.0)
-        x = _sine_tilted_height(2.0, g, rng.random(200000))
+        x = _sine_tilted_height(2.0, g, rng)
         assert np.all((x > 0.0) & (x < 2.0))
         grid = np.linspace(1e-9, 2.0 - 1e-9, 40001)
         pdf = np.exp(_sine_tilted_log_pdf(2.0, np.full_like(grid, 5.0), grid))
         target = np.trapezoid(grid * pdf, grid)
         assert abs(x.mean() - target) < 4.0 * x.std() / math.sqrt(x.size)
+
+    # b = pi / width: the rejection switches envelopes at |g| = b
+    @pytest.mark.parametrize("g_over_b", [0.0, 0.98, 1.02, 20.0, -1.5])
+    def test_sine_tilted_law_matches_the_closed_form_cdf(self, g_over_b):
+        # KS test at level 1e-3: a correct sampler fails a case with probability
+        # 1e-3 over seeds, the five cases together 0.5 %; the seed is fixed
+        from scipy.stats import kstest
+
+        width, n = 2.0, 20_000
+        b = math.pi / width
+        g = g_over_b * b
+        x = _sine_tilted_height(width, np.full(n, g), np.random.default_rng(70))
+        assert np.all((x > 0.0) & (x < width))
+        gg = abs(g)
+
+        def cdf(y):
+            y = width - y if g < 0 else y
+            f = b - np.exp(-gg * y) * (b * np.cos(b * y) + gg * np.sin(b * y))
+            f /= b * (1.0 + np.exp(-gg * width))
+            return 1.0 - f if g < 0 else f
+
+        assert kstest(x, cdf).pvalue > 1e-3
+
+    def test_sine_tilted_rejects_proposals_at_the_edges(self):
+        # all-zero uniforms put every proposal at x = 0, where the density
+        # vanishes: that whole round is rejected and the next one is a fresh
+        # generator's first round
+        class ZerosFirst:
+            def __init__(self, seed):
+                self.rng, self.calls = np.random.default_rng(seed), 0
+
+            def random(self, size):
+                self.calls += 1
+                return np.zeros(size) if self.calls == 1 else self.rng.random(size)
+
+        width = 2.0
+        b = math.pi / width
+        g = np.tile(b * np.array([0.0, 0.5, 1.0, 20.0, 1e6, -0.5, -3.0]), 300)
+        rng = ZerosFirst(8)
+        x = _sine_tilted_height(width, g, rng)
+        assert rng.calls > 2
+        assert np.all((x > 0.0) & (x < width))
+        assert np.array_equal(x, _sine_tilted_height(width, g, np.random.default_rng(8)))
 
     def test_gamma_tilted_log_pdf_normalizes(self):
         x = np.linspace(1e-9, 60.0, 400001)
