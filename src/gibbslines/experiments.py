@@ -44,7 +44,9 @@ from .errors import EffectiveSampleSizeTooSmall, ValidationError, ZeroHits
 from .gibbs import (
     ConditionalSpec,
     _block,
+    _gaussian_window,
     _truncated_gaussian,
+    _window_inverse,
     estimate_Z,
     sample_conditional_batch,
 )
@@ -245,15 +247,17 @@ def _raise_problems(problems: list[str]):
 
 
 def _band_draw(mu, sd, lo: float, hi: float, rng, m: int):
-    """m exact draws of N(mu, sd^2) truncated to [lo, hi]; returns (values, log_mass).
-
-    A band whose Gaussian mass is not representable (log_mass not finite)
-    would leave a proposal without a density ratio, so it raises instead.
-    """
+    """m exact draws of N(mu, sd^2) truncated to [lo, hi]; returns (values, log_mass)."""
     v, log_mass = _truncated_gaussian(mu, sd, lo, hi, rng.random(m))
+    return v, _representable(log_mass)
+
+
+def _representable(log_mass):
+    """log_mass, or a raise where a band's log mass is not finite, which would
+    leave a proposal without a density ratio."""
     if not np.all(np.isfinite(log_mass)):
         raise EffectiveSampleSizeTooSmall(0.0, ESS_THRESHOLD, "truncated proposal band")
-    return v, log_mass
+    return log_mass
 
 
 def _bridge_point(p0: float, v0, p: float, p1: float, v1):
@@ -546,22 +550,26 @@ def _channel_anchor(mu, sd, lo: float, hi: float, rng, m: int):
 
     The sine-tilted height is drawn by rejection only for the samples that
     take the tilted component, so the stream depends on which component
-    each sample picks.
+    each sample picks. Only the samples that pick the truncated component
+    invert their uniform; every sample needs the band's log mass.
     """
     mu = np.broadcast_to(np.asarray(mu, dtype=float), (m,))
     sd = np.broadcast_to(np.asarray(sd, dtype=float), (m,))
     pick_tn = rng.random(m) < 0.5
-    v_tn, log_mass = _band_draw(mu, sd, lo, hi, rng, m)
+    u_tn = rng.random(m)
+    window = _gaussian_window(mu, sd, lo, hi)
+    log_mass = _representable(window[-1])
+    v = np.empty(m)
+    picked = np.flatnonzero(pick_tn)
+    v[picked] = _window_inverse(mu[picked], sd[picked], lo, hi, u_tn[picked], [w[picked] for w in window])[0]
+    tilt = ~pick_tn
     g = (lo - mu) / (sd * sd)
     if np.isfinite(hi):
-        tilt = ~pick_tn
-        v = v_tn.copy()
         v[tilt] = lo + _sine_tilted_height(hi - lo, g[tilt], rng)
         lq_tilt = _sine_tilted_log_pdf(hi - lo, g, v - lo)
     else:
         g = np.maximum(g, 0.25 / sd)
-        x_t = _gamma_tilted_height(g, rng, m)
-        v = np.where(pick_tn, v_tn, lo + x_t)
+        v[tilt] = lo + _gamma_tilted_height(g, rng, m)[tilt]
         lq_tilt = _gamma_tilted_log_pdf(g, np.maximum(v - lo, 1e-300))
     log_phi = _log_normal_pdf(v, mu, sd)
     lq_tn = log_phi - log_mass

@@ -353,25 +353,27 @@ def first_hitting_domain(
 # ---------------------------------------------------------------------------
 
 # Soft penalties: each site law is inverted on a short per-row lattice shared
-# by all S states. A COARSE_POINTS pass spans the states' free means plus
-# LATTICE_HALF_WIDTH free standard deviations (widened per row, at most
-# MAX_WIDEN times, until each outermost cell holds under TAIL_MASS of the
-# mass) and keeps the nodes above KEEP_DENSITY times each state's peak, plus
-# one on each side. LATTICE_POINTS fine points cover the union of the kept
-# intervals, the density is interpolated log-linearly between them, and each
-# cell's mass and in-cell inverse are closed form. Each fine cell's mass is
-# then corrected for the curvature of the log density (_correct_curvature),
-# which takes its error from O(dx^2) to O(dx^4); the coarse pass, which only
-# places the fine lattice, is not corrected.
+# by all S states. LATTICE_POINTS points span the states' free means plus
+# LATTICE_HALF_WIDTH free standard deviations, about 0.1 of them apart,
+# widened per row (at most MAX_WIDEN times) until each outermost cell holds
+# under TAIL_MASS of the mass: a free state's edge cell holds about 6e-10, and
+# at most about 2e-9 is left outside, four orders below the KS bound. The
+# density is interpolated log-linearly between the points; each cell's mass
+# and in-cell inverse are closed form, and the masses are corrected for the
+# curvature of the log density (_correct_curvature), which takes their error
+# from O(dx^2) to O(dx^4). Only where the nodes above KEEP_DENSITY times some
+# state's peak, plus one on each side, leave out an end of some row does a
+# second pass span them.
 # Error bound, tests/test_gibbs.py::TestSiteLawError: site-law KS distance
 # (sigma^2 = 1/128, trap = 1/64, t in {1, 8, 100, 1000}, with and without
 # neighbours, and coupled pairs: 24 (t, case) pairs) at most 2e-5. Measured
 # by scripts/site_law_table.py, worst and median over the 24 pairs:
-#   160 points, curvature-corrected (these constants)  6.9e-6 (t = 1000 pair)     3.3e-6
-#   128 points, curvature-corrected                    1.4e-5 (t = 1000 pair)     6.4e-6
-#   320 points, log-linear only                        1.1e-5 (t = 1000 squeeze)  4.6e-7
-#   240 points, log-linear only                        2.0e-5 (t = 1000 squeeze)  1.0e-6
-#   160 points, log-linear only                        4.5e-5 (t = 1000 squeeze)  3.4e-6
+#   120 points over 6 sigma, one pass (these constants)  8.6e-6 (t = 1000 pair)     3.3e-6
+#   160 points over 8 sigma, coarse pass first           6.9e-6 (t = 1000 pair)     3.3e-6
+#   128 points over 8 sigma, coarse pass first           1.4e-5 (t = 1000 pair)     6.4e-6
+#   320 points, log-linear only                          1.1e-5 (t = 1000 squeeze)  4.6e-7
+#   240 points, log-linear only                          2.0e-5 (t = 1000 squeeze)  1.0e-6
+#   160 points, log-linear only                          4.5e-5 (t = 1000 squeeze)  3.4e-6
 # The squeeze is a neighbour above pressing the site 0.3 below its mean, where
 # the penalty bends the log density most. On a uniform lattice the Gaussian
 # part's constant curvature scales every cell by one factor, which the
@@ -389,13 +391,11 @@ def first_hitting_domain(
 # off the window (-1, 1)), same spacings, moves by at most 0.1 % at t = 100
 # and at t = 1000 (measured -0.005 % and -0.001 %, SE 0.005 % and 0.013 %),
 # bound in ...::test_trapezoid_grid_error_of_separation_free_weights.
-LATTICE_POINTS = 160
-COARSE_POINTS = 64
+LATTICE_POINTS = 120
 KEEP_DENSITY = math.exp(-36.0)  # ~2e-16 of the peak: lower nodes carry no mass
 LOG_FLOOR = -1000.0  # exp underflows to 0 long before; keeps log slopes finite
-LOG_LINEAR_MIN = 1e-5  # cells with a flatter log slope fall back to trapezoid
-TAIL_MASS = 1e-12
-LATTICE_HALF_WIDTH = 8.0  # in units of the free conditional standard deviation
+TAIL_MASS = 1e-8
+LATTICE_HALF_WIDTH = 6.0  # in units of the free conditional standard deviation
 MAX_WIDEN = 40  # lattice widenings per site before giving up
 END_OFFSET = 1e-6  # truncated-Gaussian draws this close to an end (in sigma) are placed from it
 
@@ -410,24 +410,21 @@ def _site_gaussian(pts: np.ndarray, j: int):
 
 
 # The soft site kernels run once per site for all S states: mu, above and
-# below are (S, B, 1) against one (B, m) lattice per row, shared by the states.
-# They write into _SiteLattice work arrays that _scan allocates once per scan,
-# (S, B, COARSE_POINTS) and (S, B, LATTICE_POINTS), and keep the plain
-# formulas' operation order, so every draw is bit-for-bit that of one call per
-# state on fresh arrays (tests/test_gibbs.py::
+# below are (S, B, 1) against one (B, LATTICE_POINTS) lattice per row, shared
+# by the states. They write into one _SiteLattice that _scan allocates once per
+# scan, and keep the plain formulas' operation order, so every draw is
+# bit-for-bit that of one call per state on fresh arrays (tests/test_gibbs.py::
 # TestStackedScanMatchesPerStateReference). Fresh arrays of this size pass
 # glibc's mmap threshold and fault their pages in on every call: a coupled scan
 # of 250 chains on 17 points took about 44,000 minor faults that way, and
 # about 130 on these buffers. Arrays whose lifetimes do not overlap share
-# storage: the coarse pass's arrays are views into the fine pass's, the two
-# penalty scratches into the cells and slopes, and the fine curvature factors
-# and CDF into the log density.
-_COARSE_BASE = np.linspace(0.0, 1.0, COARSE_POINTS)
-_FINE_BASE = np.linspace(0.0, 1.0, LATTICE_POINTS)
+# storage: the two penalty scratches with the cells and slopes, and the
+# curvature factors and CDF with the log density.
+_BASE = np.linspace(0.0, 1.0, LATTICE_POINTS)
 
 
 class _SiteLattice(NamedTuple):
-    """Work arrays of one lattice pass over m points, S states and B rows."""
+    """Work arrays of the soft site kernels: m = LATTICE_POINTS, S states, B rows."""
 
     vs: np.ndarray  # (B, m) lattice values
     logd: np.ndarray  # (S, B, m) log density, then density / peak, then curvature factors, then the CDF
@@ -435,34 +432,26 @@ class _SiteLattice(NamedTuple):
     gap_low: np.ndarray  # (S, B, m) penalty scratch; shares storage with slopes
     cells: np.ndarray  # (S, B, m-1)
     slopes: np.ndarray  # (S, B, m-1)
+    ends: np.ndarray  # (S, B, m-1) -|slope|, then the density at each cell's higher end
     mask: np.ndarray  # (S, B, m) bool: kept nodes, then CDF below target
-    steep: np.ndarray  # (S, B, m-1) bool; shares storage with mask
-    flat: np.ndarray  # (S, B, m-1) bool
 
 
-def _site_buffers(states: int, rows: int) -> tuple:
-    """(coarse, fine) _SiteLattice work arrays, all views into one storage."""
-    size = states * rows * LATTICE_POINTS
-    real = np.empty((3, size))
-    flags = np.empty((2, size), dtype=bool)
-    nodes = np.empty(rows * LATTICE_POINTS)
-
-    def views(m):
-        full, cut = (states, rows, m), (states, rows, m - 1)
-        n_full, n_cut = states * rows * m, states * rows * (m - 1)
-        return _SiteLattice(
-            vs=nodes[: rows * m].reshape(rows, m),
-            logd=real[0, :n_full].reshape(full),
-            gap_up=real[1, :n_full].reshape(full),
-            gap_low=real[2, :n_full].reshape(full),
-            cells=real[1, :n_cut].reshape(cut),
-            slopes=real[2, :n_cut].reshape(cut),
-            mask=flags[0, :n_full].reshape(full),
-            steep=flags[0, :n_cut].reshape(cut),
-            flat=flags[1, :n_cut].reshape(cut),
-        )
-
-    return views(COARSE_POINTS), views(LATTICE_POINTS)
+def _site_buffers(states: int, rows: int) -> _SiteLattice:
+    """The soft kernels' _SiteLattice for S states and B rows."""
+    m = LATTICE_POINTS
+    full, cut = (states, rows, m), (states, rows, m - 1)
+    size, n_cut = states * rows * m, states * rows * (m - 1)
+    real = np.empty((4, size))
+    return _SiteLattice(
+        vs=np.empty((rows, m)),
+        logd=real[0].reshape(full),
+        gap_up=real[1].reshape(full),
+        gap_low=real[2].reshape(full),
+        cells=real[1, :n_cut].reshape(cut),
+        slopes=real[2, :n_cut].reshape(cut),
+        ends=real[3, :n_cut].reshape(cut),
+        mask=np.empty(full, dtype=bool),
+    )
 
 
 def _site_log_density(mu, sigma, above, below, trap, h: Hamiltonian, w: _SiteLattice):
@@ -489,10 +478,11 @@ def _log_linear_cells(w: _SiteLattice):
 
     Works in place on w.logd (S, B, m), which must sit on a uniform lattice per
     row, and leaves it holding density / peak. Fills and returns (w.cells,
-    w.slopes), both (S, B, m-1): each cell's mass over its width,
-    (d1 - d0) / (l1 - l0), or (d0 + d1) / 2 where the log step l1 - l0 is
-    flatter than LOG_LINEAR_MIN, and the log steps themselves. None when some
-    row has no finite log density.
+    w.slopes), both (S, B, m-1): each cell's exact mass over its width,
+    d0 expm1(s) / s for the log step s = l1 - l0 (d0 where s = 0), taken from
+    the cell's higher end as d_hi expm1(-|s|) / -|s| so that it cannot
+    overflow, and the log steps themselves. None when some row has no finite
+    log density.
     """
     logd = w.logd
     peak = logd.max(axis=2, keepdims=True)
@@ -502,13 +492,12 @@ def _log_linear_cells(w: _SiteLattice):
     np.maximum(logd, LOG_FLOOR, out=logd)
     slopes = np.subtract(logd[..., 1:], logd[..., :-1], out=w.slopes)
     d = np.exp(logd, out=logd)
-    cells = np.subtract(d[..., 1:], d[..., :-1], out=w.cells)
-    steep = np.greater_equal(slopes, LOG_LINEAR_MIN, out=w.steep)
-    steep |= np.less_equal(slopes, -LOG_LINEAR_MIN, out=w.flat)
-    np.divide(cells, slopes, out=cells, where=steep)
-    if not steep.all():
-        flat = np.logical_not(steep, out=w.flat)
-        cells[flat] = 0.5 * (d[..., 1:][flat] + d[..., :-1][flat])
+    # -|s|, kept below 0 so that a flat cell reads expm1(-tiny) / -tiny = 1
+    neg = np.copysign(slopes, -1.0, out=w.ends)
+    np.minimum(neg, -1e-300, out=neg)
+    cells = np.expm1(neg, out=w.cells)
+    cells /= neg
+    cells *= np.maximum(d[..., 1:], d[..., :-1], out=w.ends)
     return cells, slopes
 
 
@@ -520,10 +509,8 @@ def _correct_curvature(w: _SiteLattice):
     end cells. Over a cell of width dx where the log density has curvature
     c, its integral is the log-linear chord's mass times 1 - c dx^2 / 12, up
     to O(dx^4) relative, and k is about c dx^2: so the corrected masses are
-    off by O(dx^4) where the uncorrected ones are off by O(dx^2). The
-    trapezoid masses of cells flatter than LOG_LINEAR_MIN miss by the same
-    amount, up to a term in the square of their log step. Uses w.logd as
-    scratch, so call it after the density there is spent.
+    off by O(dx^4) where the uncorrected ones are off by O(dx^2). Uses w.logd
+    as scratch, so call it after the density there is spent.
     """
     s = w.slopes
     c = w.logd[..., :-1]  # 2 k per cell: the sum of its end nodes' second differences
@@ -565,14 +552,14 @@ def _invert_log_linear(w: _SiteLattice, u):
     return v0 + np.clip(s, 0.0, 1.0) * (v1 - v0)
 
 
-def _lattice(lo, hi, base, out):
-    """lo + (hi - lo) * base into out (B, m), for lo and hi (B, 1)."""
-    np.multiply(hi - lo, base, out=out)
+def _lattice(lo, hi, out):
+    """lo + (hi - lo) * _BASE into out (B, m), for lo and hi (B, 1)."""
+    np.multiply(hi - lo, _BASE, out=out)
     out += lo
     return out
 
 
-def _lattice_draws(mu, sigma, above, below, trap, h, u, coarse: _SiteLattice, fine: _SiteLattice):
+def _lattice_draws(mu, sigma, above, below, trap, h, u, w: _SiteLattice):
     """Inverse-CDF draws (S, B, 1) of soft-penalty site laws on one shared lattice."""
     lo = mu.min(axis=0) - LATTICE_HALF_WIDTH * sigma
     hi = mu.max(axis=0) + LATTICE_HALF_WIDTH * sigma
@@ -580,37 +567,36 @@ def _lattice_draws(mu, sigma, above, below, trap, h, u, coarse: _SiteLattice, fi
     lo = np.minimum(lo, np.where(np.isfinite(above), above - 2 * sigma, np.inf).min(axis=0))
     hi = np.maximum(hi, np.where(np.isfinite(below), below + 2 * sigma, -np.inf).max(axis=0))
     for _ in range(MAX_WIDEN):
-        _lattice(lo, hi, _COARSE_BASE, coarse.vs)
-        _site_log_density(mu, sigma, above, below, trap, h, coarse)
-        fit = _log_linear_cells(coarse)
-        if fit is None:
-            width = hi - lo
-            lo = lo - 0.5 * width
-            hi = hi + 0.5 * width
-            continue
-        cells = fit[0]
-        tail = TAIL_MASS * cells.sum(axis=2, keepdims=True)
-        bad = ((cells[..., :1] > tail) | (cells[..., -1:] > tail)).any(axis=0)
-        if not bad.any():
-            break
+        _lattice(lo, hi, w.vs)
+        _site_log_density(mu, sigma, above, below, trap, h, w)
+        fit = _log_linear_cells(w)
+        bad = True  # a row with no finite density widens every row
+        if fit is not None:
+            tail = TAIL_MASS * fit[0].sum(axis=2, keepdims=True)
+            bad = ((fit[0][..., :1] > tail) | (fit[0][..., -1:] > tail)).any(axis=0)
+            if not bad.any():
+                break
         span = hi - lo
         lo = np.where(bad, lo - 0.5 * span, lo)
         hi = np.where(bad, hi + 0.5 * span, hi)
     else:
         raise OrderViolationInput("site density never fit on the value lattice")
-    # coarse.logd now holds density / peak; log-concavity makes each state's
+    # w.logd now holds density / peak. A row trims at an end where no state
+    # keeps either of that end's two nodes; log-concavity makes each state's
     # kept nodes an interval, so its first and last node bound it
-    keep = np.greater_equal(coarse.logd, KEEP_DENSITY, out=coarse.mask)
-    first = np.maximum(keep.argmax(axis=2, keepdims=True).min(axis=0) - 1, 0)
-    last = np.minimum((COARSE_POINTS - keep[..., ::-1].argmax(axis=2, keepdims=True)).max(axis=0),
-                      COARSE_POINTS - 1)
-    span = hi - lo
-    _lattice(span * _COARSE_BASE[first] + lo, span * _COARSE_BASE[last] + lo, _FINE_BASE, fine.vs)
-    _site_log_density(mu, sigma, above, below, trap, h, fine)
-    if _log_linear_cells(fine) is None:
-        raise OrderViolationInput("site density vanished on the value lattice")
-    _correct_curvature(fine)
-    return _invert_log_linear(fine, u)
+    d = w.logd
+    m = LATTICE_POINTS
+    if (d[..., :2] < KEEP_DENSITY).all(axis=(0, 2)).any() or (d[..., -2:] < KEEP_DENSITY).all(axis=(0, 2)).any():
+        keep = np.greater_equal(d, KEEP_DENSITY, out=w.mask)
+        first = np.maximum(keep.argmax(axis=2, keepdims=True).min(axis=0) - 1, 0)
+        last = np.minimum((m - keep[..., ::-1].argmax(axis=2, keepdims=True)).max(axis=0), m - 1)
+        span = hi - lo
+        _lattice(span * _BASE[first] + lo, span * _BASE[last] + lo, w.vs)
+        _site_log_density(mu, sigma, above, below, trap, h, w)
+        if _log_linear_cells(w) is None:
+            raise OrderViolationInput("site density vanished on the value lattice")
+    _correct_curvature(w)
+    return _invert_log_linear(w, u)
 
 
 def _end_offset(share, e, step, log_mass, width):
@@ -627,19 +613,14 @@ def _end_offset(share, e, step, log_mass, width):
     return np.where(np.isnan(s), np.inf, s)
 
 
-def _truncated_gaussian(mu, sigma, lo, hi, u):
-    """Inverse-CDF draw of N(mu, sigma^2) restricted to [lo, hi], exact (to
-    END_OFFSET^2 relative within END_OFFSET sigma of an end, see _end_offset).
-
-    Returns (values, log_mass) with log_mass the log Gaussian mass of the
-    window. Values are nondecreasing in mu, lo, hi and u. A window above the
-    mean is reflected into the lower tail, where log_ndtr and ndtri_exp keep
-    windows far out in the tail finite; log_mass is not finite only for a
-    window whose mass is not representable (zero width, or beyond log_ndtr's
-    range).
-    """
+def _gaussian_window(mu, sigma, lo, hi):
+    """[lo, hi] under N(mu, sigma^2) in z units, reflected into the lower tail
+    where it lies above the mean so that log_ndtr keeps far windows finite:
+    (flip, lo_z, hi_z, log Phi(hi_z), Phi(lo_z) / Phi(hi_z), log mass). The
+    log mass is not finite only for a window whose mass is not representable
+    (zero width, or beyond log_ndtr's range)."""
     # deferred: importing scipy.special costs a fresh process about 0.15 s
-    from scipy.special import log_ndtr, ndtri_exp
+    from scipy.special import log_ndtr
 
     if np.any(lo > hi):
         raise OrderViolationInput("hard-wall neighbours cross at a site")
@@ -648,15 +629,35 @@ def _truncated_gaussian(mu, sigma, lo, hi, u):
     flip = a > -b
     lo_z = np.where(flip, -b, a)
     hi_z = np.where(flip, -a, b)
-    p = np.where(flip, 1.0 - u, u)
     log_hi = log_ndtr(hi_z)
     ratio = np.exp(log_ndtr(lo_z) - log_hi)  # Phi(lo_z) / Phi(hi_z), in [0, 1]
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        log_mass = log_hi + np.log1p(-ratio)
+    return flip, lo_z, hi_z, log_hi, ratio, log_mass
+
+
+def _truncated_gaussian(mu, sigma, lo, hi, u):
+    """Inverse-CDF draw of N(mu, sigma^2) restricted to [lo, hi], exact (to
+    END_OFFSET^2 relative within END_OFFSET sigma of an end, see _end_offset).
+
+    Returns (values, log_mass), log_mass that of _gaussian_window. Values are
+    nondecreasing in mu, lo, hi and u.
+    """
+    return _window_inverse(mu, sigma, lo, hi, u, _gaussian_window(mu, sigma, lo, hi))
+
+
+def _window_inverse(mu, sigma, lo, hi, u, window):
+    """_truncated_gaussian from the window's _gaussian_window tuple; ndtri_exp
+    keeps draws far out in the tail finite."""
+    from scipy.special import ndtri_exp  # deferred, as in _gaussian_window
+
+    flip, lo_z, hi_z, log_hi, ratio, log_mass = window
+    p = np.where(flip, 1.0 - u, u)
     # p = 0 against an open side would give -inf: floor at the least normal double
     mass = np.maximum(p + (1.0 - p) * ratio, np.finfo(float).tiny)
     z = ndtri_exp(log_hi + np.log(mass))
     v = mu + sigma * np.where(flip, -z, z)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        log_mass = log_hi + np.log1p(-ratio)
         # a draw within END_OFFSET of an end is placed from that end: the round
         # trip above and mu + sigma z would land it ulps off, unordered in mu
         width = (hi - lo) / sigma
@@ -683,27 +684,24 @@ def _site_draw(mu, sigma, above, below, trap, h, u, work):
     draws are nondecreasing in the mean, the neighbours and u, so they cross
     by a few ulps of the value at most.
     On the shared soft lattice the states' densities keep their
-    likelihood-ratio order, and so do their log-linear cell masses. The
+    likelihood-ratio order, and so do their exact log-linear cell masses. The
     curvature factors max(0, 1 - k/12) are each state's own, so that order
     no longer holds by construction: the factors' ratio between two states is
     1 + O(dx^2) and changes little from cell to cell, so it can undo the
     density ratio's rise only where that rise is as small. In measurements
-    what crosses is rounding. A soft draw inverts
-    a CDF summed from up to LATTICE_POINTS - 1 cell masses and divided by
-    their total, off by up to about 2 LATTICE_POINTS eps in probability (eps
-    the machine epsilon); that moves a draw v by up to
-    2 LATTICE_POINTS eps / f(v), f the state's site density. Two soft states
-    may so cross by 2 LATTICE_POINTS eps (1/f_lo + 1/f_hi), which is no
-    ulp-level amount near v = 0 or in the tails. Measured over 15,000 random
-    ordered pairs (TestSiteCoupling's ranges, shifts from 0 and 1e-14 up to
-    0.5, 257 shared uniforms each): at most 281 eps (1/f_lo + 1/f_hi), none
-    beyond the 320 of that bound, and the same pairs without the curvature
-    factors cross by as much (also at most 281).
+    what crosses is rounding. Each cell mass is exact to a few ulps, and a
+    CDF off by c eps in probability (eps the machine epsilon) moves a draw v
+    by c eps / f(v), f the state's site density: two soft states may cross
+    by a few eps (1/f_lo + 1/f_hi), no ulp-level amount near v = 0 or in the
+    tails. Over 20,000 random ordered pairs (scripts/site_law_table.py
+    --pairs 20000) they cross by at most 2.02 of these; TestSiteCoupling
+    allows 8. Cells taken as (d1 - d0) / s crossed by up to 307, since the
+    quotient loses eps / |s| to cancellation in the flat cells.
     """
     if isinstance(h, OrderedHamiltonian):
         draws = _truncated_gaussian(mu, sigma, below, above, u)[0]
     else:
-        draws = _lattice_draws(mu, sigma, above, below, trap, h, u, *work)
+        draws = _lattice_draws(mu, sigma, above, below, trap, h, u, work)
     if len(draws) == 2:
         draws[1] = np.maximum(draws[1], draws[0])
     return draws
@@ -764,7 +762,14 @@ def heat_bath_scan_batch(
 def heat_bath_sweep(
     state: LineEnsemble, outer: BoundaryData, h: Hamiltonian, rng: np.random.Generator
 ) -> LineEnsemble:
-    """One single-site heat-bath sweep of a full ensemble."""
+    """One single-site heat-bath sweep of a full ensemble.
+
+    Where the penalty is inactive a soft site draw is mu + sigma Phi^-1(u),
+    so two chains on shared uniforms differ by a Gauss-Seidel sweep of the
+    Dirichlet Laplacian: their gap contracts by cos^2(pi / (n - 1)) per sweep
+    on n grid points, about (n - 1)^2 / pi^2 sweeps per e-fold (26 at 17
+    points, 415 at 65). mcmc_sweep's exact block draws mix in one sweep.
+    """
     u = rng.random((1, state.k, state.grid.n - 2))
     new = heat_bath_scan_batch(state.curves[None], state.grid, outer, h, u)
     return LineEnsemble(state.grid, new[0])
@@ -805,7 +810,9 @@ def monotone_coupled_sweep(
     truncated Gaussians, drawn exactly by inverse CDF; they target the grid
     skeleton's law, not the exact samplers' continuum law. Marginally each
     state evolves by the plain heat-bath kernel; jointly the order is
-    preserved at every site.
+    preserved at every site. Where the penalty is inactive the gap hi - lo
+    contracts by cos^2(pi / (n - 1)) per sweep on n grid points, about
+    (n - 1)^2 / pi^2 sweeps per e-fold (see heat_bath_sweep).
     """
     if lo.grid != hi.grid:
         raise GridMismatch("coupled states must share a grid")

@@ -28,12 +28,10 @@ from gibbslines.errors import (
 )
 from gibbslines import gibbs
 from gibbslines.gibbs import (
-    COARSE_POINTS,
     KEEP_DENSITY,
     LATTICE_HALF_WIDTH,
     LATTICE_POINTS,
     LOG_FLOOR,
-    LOG_LINEAR_MIN,
     MAX_WIDEN,
     TAIL_MASS,
     ConditionalSpec,
@@ -562,9 +560,10 @@ class TestHeatBath:
     )
     def test_site_kernels_match_plain_formulas(self, h):
         # the kernels write into work arrays in the plain formulas' operation
-        # order, so the lattice densities, log-linear cell masses and their
-        # curvature corrections must agree bit for bit, one state at a time
-        # and with the four neighbour cases stacked as four states on one lattice
+        # order, so the lattice densities, exact log-linear cell masses and
+        # their curvature corrections must agree bit for bit, one state at a
+        # time and with the four neighbour cases stacked as four states on one
+        # lattice
         rng = np.random.default_rng(21)
         rows = 6
         vs = np.linspace(-6.0, 6.0, LATTICE_POINTS) + rng.uniform(-0.01, 0.01, (rows, 1))
@@ -577,7 +576,7 @@ class TestHeatBath:
             singles.append((above[None], below[None], (-0.5 * ((vs - mu) / sigma) ** 2 - trap * pen)[None]))
         stacked = tuple(np.concatenate(parts) for parts in zip(*singles))
         for above, below, plain in singles + [stacked]:
-            work = _site_buffers(plain.shape[0], rows)[1]
+            work = _site_buffers(plain.shape[0], rows)
             work.vs[...] = vs
             logd = _site_log_density(np.broadcast_to(mu, above.shape), sigma, above, below, trap, h, work)
             assert np.array_equal(logd, plain)
@@ -586,11 +585,8 @@ class TestHeatBath:
             ell = np.maximum(plain - plain.max(axis=2, keepdims=True), LOG_FLOOR)
             d = np.exp(ell)
             slope = np.diff(ell, axis=2)
-            steep = np.abs(slope) >= LOG_LINEAR_MIN
-            with np.errstate(divide="ignore", invalid="ignore"):
-                log_linear = (d[..., 1:] - d[..., :-1]) / slope
             cells, slopes = _log_linear_cells(work)
-            plain_cells = np.where(steep, log_linear, 0.5 * (d[..., 1:] + d[..., :-1]))
+            plain_cells = _ref_exact_cells(d, slope)
             assert np.array_equal(slopes, slope)
             assert np.array_equal(cells, plain_cells)
             assert np.array_equal(logd, d)
@@ -598,14 +594,16 @@ class TestHeatBath:
             assert np.array_equal(cells, plain_cells * _ref_curvature_factors(slope))
 
     def test_corrected_cells_match_gaussian_masses_to_fourth_order(self):
-        # On a uniform lattice of spacing dx (in sigma) over +-8 sigma, the
-        # log-linear cells miss every exact Gaussian cell mass by about
-        # dx^2 / 12 (measured 8.3e-4 to 8.4e-4 at dx = 0.1006); the curvature
-        # correction leaves O(dx^4) (measured at most 8.5e-6, 0.083 dx^4).
+        # On a uniform lattice of spacing dx (in sigma) over the kernel's
+        # +-LATTICE_HALF_WIDTH sigma, the log-linear cells miss every exact
+        # Gaussian cell mass by about dx^2 / 12 (measured 8.4e-4 to 8.5e-4 at
+        # dx = 0.1008); the curvature correction leaves O(dx^4) (measured at
+        # most 4.7e-6, 0.045 dx^4).
         rows = 3
-        vs = np.linspace(-8.0, 8.0, LATTICE_POINTS) + np.array([[0.0], [0.0123], [0.05]])
+        vs = (np.linspace(-LATTICE_HALF_WIDTH, LATTICE_HALF_WIDTH, LATTICE_POINTS)
+              + np.array([[0.0], [0.0123], [0.05]]))
         dx = vs[0, 1] - vs[0, 0]
-        work = _site_buffers(1, rows)[1]
+        work = _site_buffers(1, rows)
         work.vs[...] = vs
         state = np.zeros((1, rows, 1))
         logd = _site_log_density(state, 1.0, state + np.inf, state - np.inf, 0.0, ExpHamiltonian(), work)
@@ -626,7 +624,7 @@ class TestHeatBath:
         # 12, so the curvature factor clips to 0 rather than turning negative
         rows = 5
         vs = np.linspace(-8.0, 8.0, LATTICE_POINTS) + np.linspace(0.0, 0.1, rows)[:, None]
-        work = _site_buffers(1, rows)[1]
+        work = _site_buffers(1, rows)
         work.vs[...] = vs
         state = np.zeros((1, rows, 1))
         logd = _site_log_density(state, 1.0, state + 0.5, state - np.inf, 1.0, ScaledExpHamiltonian(1e5), work)
@@ -784,9 +782,11 @@ SITE_SIGMA, SITE_TRAP, SITE_U = _LAW.SITE_SIGMA, _LAW.SITE_TRAP, _LAW.SITE_U
 _site_columns, _site_draws, _reference_law = _LAW.site_columns, _LAW.site_draws, _LAW.reference_law
 # Soft bound 2e-5. Measured with the 1024-point trapezoid lattice this kernel
 # replaced: 1.2e-5 to 1.6e-5 per single state, 1.8e-5 and 2.03e-5 to 2.04e-5
-# in the pairs. Now (160 curvature-corrected points) at most 6.9e-6, in the
-# t = 1000 pair, with median 3.3e-6 over the 24 (t, case) pairs. Without the
-# curvature correction, 160 points measure 4.5e-5 in the t = 1000 squeeze.
+# in the pairs. Now (one pass of 120 curvature-corrected points over 6 sigma,
+# exact log-linear cells) at most 8.6e-6, in the t = 1000 pair, with median
+# 3.3e-6 over the 24 (t, case) pairs; 160 points over 8 sigma behind a coarse
+# pass measured 6.9e-6 and 3.3e-6. Without the curvature correction, 160
+# points measure 4.5e-5 in the t = 1000 squeeze.
 SOFT_KS_BOUND = 2e-5
 # Hard bound 1e-10 against scipy's truncnorm. The old lattice: 1.3e-3 for the
 # near windows, 2.5e-2 at 8 sigma off, 0.29 at 30 sigma off. Now at most 3e-13.
@@ -826,13 +826,17 @@ class TestSiteLawError:
             _site_draws(OrderedHamiltonian(), [(0.0, -0.1, 0.1)])
 
 
+# Soft coupled draws cross by at most this many eps (1/f_lo + 1/f_hi), f each
+# state's site density. Measured by scripts/site_law_table.py --pairs 20000:
+# at most 2.02; 307 with the LOG_LINEAR_MIN cells of earlier versions.
+COUPLING_SLACK = 8
 _offset = st.floats(-0.6, 0.6)
 _shift = st.floats(0.0, 0.5)
 
 
 class TestSiteCoupling:
     # uniforms spanning [0, 1), ends included, shared by both states
-    U = np.concatenate([[0.0], (np.arange(255) + 0.5) / 256, [1.0 - 2.0**-53]])
+    U = _LAW.COUPLING_U
 
     @staticmethod
     def _pair(mu, dmu, above, da, below, db):
@@ -859,6 +863,10 @@ class TestSiteCoupling:
     )
     # Hypothesis found this pair crossing by 4.7e-15 at a draw of 0.002
     @example(t=1.0, mu=0.0, dmu=0.0, above=0.0, da=0.0, below=0.5, db=1e-12)
+    # the worst of 20,000 pairs (scripts/site_law_table.py --pairs) with cells
+    # taken as (d1 - d0) / s above LOG_LINEAR_MIN = 1e-5: 307 eps (1/f_lo + 1/f_hi)
+    @example(t=1000.0, mu=-0.9920707962262418, dmu=0.0, above=0.4297982856589447, da=4.39e-14,
+             below=-0.5752237742468549, db=0.0)
     def test_soft_draws_keep_the_order(self, t, mu, dmu, above, da, below, db):
         h = ScaledExpHamiltonian(t)
         states = self._pair(mu, dmu, mu + above, da, mu + below, db)
@@ -866,13 +874,14 @@ class TestSiteCoupling:
 
         def raw(cols, u):
             work = _site_buffers(2, u.shape[0])
-            return _lattice_draws(cols[0], SITE_SIGMA, cols[1], cols[2], SITE_TRAP, h, u[:, None], *work)[..., 0]
+            return _lattice_draws(cols[0], SITE_SIGMA, cols[1], cols[2], SITE_TRAP, h, u[:, None], work)[..., 0]
 
         def slack(lo, hi):
-            # each state's CDF is off by up to 2 LATTICE_POINTS eps in
-            # probability, which moves its draw by that over its density
+            # a CDF off by c eps in probability moves its draw by c eps over
+            # its density; the bound and its measurement are in _site_draw's
+            # docstring
             with np.errstate(divide="ignore"):
-                return 2 * LATTICE_POINTS * np.finfo(float).eps * (1.0 / pdf_lo(lo) + 1.0 / pdf_hi(hi))
+                return COUPLING_SLACK * np.finfo(float).eps * (1.0 / pdf_lo(lo) + 1.0 / pdf_hi(hi))
 
         self._assert_ordered(h, states, raw, slack)
 
@@ -919,10 +928,10 @@ class TestSiteCoupling:
 
 
 # Reference for the stacked site kernels: the per-state heat bath they
-# replaced, one lattice pass per state on fresh (B, m) arrays. The density and
-# cell formulas are the plain ones that test_site_kernels_match_plain_formulas
-# pins bit for bit; the lattice placement, widening and inversion are the
-# per-state code's own.
+# replaced, on fresh (B, m) arrays. The density and cell formulas are the plain
+# ones that test_site_kernels_match_plain_formulas pins bit for bit; the
+# lattice placement, widening, trimming and inversion are the per-state code's
+# own: one lattice pass, and a second over the kept nodes where some row trims.
 
 
 def _ref_log_density(vs, mu, sigma, above, below, trap, h):
@@ -943,6 +952,15 @@ def _ref_curvature_factors(slopes):
     return np.maximum(1.0 - _ref_curvature_sums(slopes) / 24.0, 0.0)
 
 
+def _ref_exact_cells(d, slope):
+    """Each cell's mass over its width, d0 expm1(s) / s for the log step s and
+    d0 where s = 0, written from the cell's higher end so that it cannot
+    overflow: d_hi expm1(-|s|) / -|s|."""
+    with np.errstate(invalid="ignore"):
+        rel = np.where(slope == 0.0, 1.0, np.expm1(-np.abs(slope)) / -np.abs(slope))
+    return np.where(slope > 0.0, d[..., 1:], d[..., :-1]) * rel
+
+
 def _ref_cells(logd):
     """(cells, slopes, density / peak), or None when a row has no finite peak."""
     peak = logd.max(axis=1, keepdims=True)
@@ -951,10 +969,7 @@ def _ref_cells(logd):
     ell = np.maximum(logd - peak, LOG_FLOOR)
     d = np.exp(ell)
     slope = np.diff(ell, axis=1)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        log_linear = (d[:, 1:] - d[:, :-1]) / slope
-    cells = np.where(np.abs(slope) >= LOG_LINEAR_MIN, log_linear, 0.5 * (d[:, 1:] + d[:, :-1]))
-    return cells, slope, d
+    return _ref_exact_cells(d, slope), slope, d
 
 
 def _ref_invert(vs, cells, slopes, u):
@@ -984,15 +999,16 @@ def _ref_lattice_draws(mus, sigma, aboves, belows, trap, h, u):
     for below in belows:
         hi = np.where(np.isfinite(below), np.maximum(hi, below + 2 * sigma), hi)
 
-    def fits(lo, hi, points):
-        vs = (hi - lo)[:, None] * np.linspace(0.0, 1.0, points)[None, :] + lo[:, None]
+    base = np.linspace(0.0, 1.0, LATTICE_POINTS)
+
+    def fits(lo, hi):
+        vs = (hi - lo)[:, None] * base[None, :] + lo[:, None]
         dens = [_ref_log_density(vs, mu[:, None], sigma, ab[:, None], be[:, None], trap, h)
                 for mu, ab, be in zip(mus, aboves, belows)]
         return vs, [_ref_cells(logd) for logd in dens]
 
-    coarse = np.linspace(0.0, 1.0, COARSE_POINTS)
     for _ in range(MAX_WIDEN):
-        _, fit = fits(lo, hi, COARSE_POINTS)
+        vs, fit = fits(lo, hi)
         span = hi - lo
         if any(f is None for f in fit):
             lo, hi = lo - 0.5 * span, hi + 0.5 * span
@@ -1004,11 +1020,14 @@ def _ref_lattice_draws(mus, sigma, aboves, belows, trap, h, u):
         if not bad.any():
             break
         lo, hi = np.where(bad, lo - 0.5 * span, lo), np.where(bad, hi + 0.5 * span, hi)
+    # keep every state's nodes above KEEP_DENSITY times its peak, plus one on
+    # each side; a second pass spans the kept nodes only where some row trims
     first = np.min([(d >= KEEP_DENSITY).argmax(axis=1) - 1 for _, _, d in fit], axis=0)
-    last = np.max([COARSE_POINTS - (d >= KEEP_DENSITY)[:, ::-1].argmax(axis=1) for _, _, d in fit], axis=0)
-    first, last = np.maximum(first, 0), np.minimum(last, COARSE_POINTS - 1)
-    span = hi - lo
-    vs, fit = fits(span * coarse[first] + lo, span * coarse[last] + lo, LATTICE_POINTS)
+    last = np.max([LATTICE_POINTS - (d >= KEEP_DENSITY)[:, ::-1].argmax(axis=1) for _, _, d in fit], axis=0)
+    first, last = np.maximum(first, 0), np.minimum(last, LATTICE_POINTS - 1)
+    if np.any(first > 0) or np.any(last < LATTICE_POINTS - 1):
+        span = hi - lo
+        vs, fit = fits(span * base[first] + lo, span * base[last] + lo)
     return [_ref_invert(vs, cells * _ref_curvature_factors(slopes), slopes, u) for cells, slopes, _ in fit]
 
 
@@ -1078,11 +1097,25 @@ class TestStackedScanMatchesPerStateReference:
         for a, b in zip(new, ref):
             assert a.tobytes() == b.tobytes()
 
+    @staticmethod
+    def _record_passes(monkeypatch):
+        """Per _lattice_draws call (one site), the spans hi - lo of its lattice
+        passes: a widening makes a row's span longer, a trim shorter."""
+        sites = []
+        draws, lattice = gibbs._lattice_draws, gibbs._lattice
+        monkeypatch.setattr(gibbs, "_lattice_draws", lambda *a: sites.append([]) or draws(*a))
+        monkeypatch.setattr(gibbs, "_lattice", lambda lo, hi, out: sites[-1].append(hi - lo) or lattice(lo, hi, out))
+        return sites
+
+    @staticmethod
+    def _changes(sites, shorter):
+        return sum(np.any(b < a if shorter else b > a) for spans in sites for a, b in zip(spans, spans[1:]))
+
     @pytest.mark.parametrize("kind", ["crossed_neighbour", "distant_pair"])
     def test_scans_that_widen_the_lattice_match_bytewise(self, kind, monkeypatch):
         # a lower curve 20 above the upper one under a weak penalty stretches
-        # the coarse lattice over both, as do two states 15 apart; the coarse
-        # cells at the far end then hold too much mass and the lattice widens
+        # the lattice over both, as do two states 15 apart; the cells at the
+        # far end then hold too much mass and the lattice widens
         grid, n, chains = Grid(0.0, 1.0, 17), 17, 20
         rng = np.random.default_rng(5)
         levels = np.array([0.0, 20.0]) if kind == "crossed_neighbour" else self.LEVELS
@@ -1092,11 +1125,29 @@ class TestStackedScanMatchesPerStateReference:
         states, outers = ([lo], [outer]) if kind == "crossed_neighbour" else ([lo, lo + 15.0], [outer, outer])
         h = ScaledExpHamiltonian(1e-3 if kind == "crossed_neighbour" else 1.0)
         u = rng.random((chains, 2, n - 2))
-        lattices = []
-        lattice = gibbs._lattice
-        monkeypatch.setattr(gibbs, "_lattice", lambda *a: lattices.append(1) or lattice(*a))
+        sites = self._record_passes(monkeypatch)
         new, ref = self._scan_both(states, outers, grid, h, u)
-        sites = 2 * (n - 2)
-        assert len(lattices) > 2 * sites  # one coarse and one fine lattice per site, plus widenings
+        assert len(sites) == 2 * (n - 2) and self._changes(sites, shorter=False) > 0
+        for a, b in zip(new, ref):
+            assert a.tobytes() == b.tobytes()
+
+    @pytest.mark.parametrize("kind", ["plain", "coupled"])
+    @pytest.mark.parametrize("side", ["ceiling", "floor"])
+    def test_scans_that_trim_the_lattice_match_bytewise(self, side, kind, monkeypatch):
+        # a ceiling 0.3 below the curve's pins at t = 1000 squeezes the site
+        # law below it: the upper nodes carry no mass, the keep rule trims
+        # them, and a second pass spans the kept nodes only; a floor 0.3
+        # above the pins trims the lower nodes
+        grid, n, chains = Grid(0.0, 1.0, 17), 17, 20
+        rng = np.random.default_rng(6)
+        lo = rng.uniform(-0.1, 0.1, (chains, 1, n))
+        lo[..., [0, -1]] = 0.0
+        walls = (constant_curve(grid, -0.3), MINUS_INF) if side == "ceiling" else (PLUS_INF, constant_curve(grid, 0.3))
+        outer = BoundaryData(np.zeros(1), np.zeros(1), *walls)
+        states, outers = ([lo], [outer]) if kind == "plain" else ([lo, lo + 0.1], [outer, outer])
+        u = rng.random((chains, 1, n - 2))
+        sites = self._record_passes(monkeypatch)
+        new, ref = self._scan_both(states, outers, grid, ScaledExpHamiltonian(1000.0), u)
+        assert len(sites) == n - 2 and self._changes(sites, shorter=True) > 0
         for a, b in zip(new, ref):
             assert a.tobytes() == b.tobytes()
