@@ -3,8 +3,8 @@
 Reports are deterministic for a given (config, seed) at threads = 1: reals are
 fixed to 17 significant digits, row order follows the experiment, and nothing
 time-dependent goes into the file. JSON has no number for a non-finite real,
-so json-lines writes those as the strings "inf", "-inf" and "nan". Wall time
-and other diagnostics go to standard error instead.
+so json-lines writes those as the strings "inf", "-inf" and "nan". Wall time,
+the process's peak RSS and other diagnostics go to standard error instead.
 
 Exit codes: 0 all checks passed, 1 the run finished but a check failed,
 2 configuration or execution error.
@@ -18,6 +18,7 @@ import dataclasses
 import io
 import json
 import os
+import resource
 import sys
 import time
 
@@ -128,9 +129,10 @@ def _cmd_run(args) -> int:
         return 2
     n_checks = len(report.checks)
     n_ok = sum(1 for _, ok, _ in report.checks if ok)
+    peak_kib = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss  # KiB on Linux
     print(
         f"{config.experiment}: {n_ok}/{n_checks} checks passed, "
-        f"wall time {elapsed:.3f}s, report at {path}",
+        f"wall time {elapsed:.3f}s, peak RSS {peak_kib / 1024:.1f} MiB, report at {path}",
         file=sys.stderr,
     )
     return 0 if report.passed else 1

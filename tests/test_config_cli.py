@@ -2,6 +2,7 @@ import csv
 import dataclasses
 import json
 import math
+import re
 
 import pytest
 
@@ -344,6 +345,13 @@ class TestCli:
             assert float(c["stderr"]) == j["stderr"]
             assert int(c["n_samples"]) == j["n_samples"]
             assert int(c["seed"]) == j["seed"]
+
+    def test_summary_line_carries_peak_rss(self, tmp_path, capsys):
+        cfg = _write(tmp_path, FAST_SEPARATION)
+        assert main(["run", cfg, "--output", str(tmp_path / "rep.jsonl")]) == 0
+        summary = capsys.readouterr().err
+        match = re.search(r", peak RSS (\d+\.\d) MiB, report at ", summary)
+        assert match and float(match.group(1)) > 0.0, summary
 
     def test_env_var_sets_default_output_dir(self, tmp_path, monkeypatch):
         monkeypatch.setenv("GIBBSLINES_OUTPUT_DIR", str(tmp_path / "reports"))

@@ -182,6 +182,22 @@ class TestSeparationExperiment:
             tracemalloc.stop()
         assert peak / cfg.n_samples <= 6000, f"{peak / cfg.n_samples:.0f} bytes per sample"
 
+    def test_peak_memory_does_not_grow_with_n_samples(self):
+        # _run_shards hands the runner pieces of at most DRAW_CHUNK samples,
+        # so 16,384 samples hold no more at once than 4096
+        def peak(n):
+            cfg = SeparationConfig(k=1, L=1.0, t=1000.0, M=1.0, n_samples=n, seed=1)
+            tracemalloc.start()
+            try:
+                run_separation_experiment(cfg)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(2000)  # warm-up: first-use imports and caches stay out of the peaks
+        small, large = peak(4096), peak(16384)
+        assert large <= 1.25 * small, f"{large / 1e6:.2f} MB at 16384 against {small / 1e6:.2f} MB at 4096"
+
     def test_probability_above_one_fails_the_positivity_check(self, monkeypatch):
         import gibbslines.experiments as experiments
 
@@ -616,10 +632,9 @@ class TestChannelSurvivors:
         for lo, hi in (_free_bands(frame), (frame.band_lo, frame.band_hi)):
             _band_proposal_batch(frame, batch, rng, lo, hi, window=False)
         _, factor, recount, _ = _survivor_recount(frame, batch, rng, frame.band_lo, frame.band_hi)
-        positive, violations = int(np.sum(recount > -np.inf)), int(np.sum(recount > 1e-12))
-        assert positive == np.sum(factor > -np.inf) > 0 and violations == 0
-        expected = f"{positive} of {cfg.n_samples} proposal samples carried band mass, {violations} samplewise"
-        assert expected in detail
+        positive = int(np.sum(recount > -np.inf))
+        assert positive == np.sum(factor > -np.inf) > 0 and np.all(recount <= 0.0)
+        assert detail.endswith(f"{positive} of {cfg.n_samples} proposal samples carried band mass")
 
 
 class TestZLowerBound:
@@ -845,18 +860,29 @@ class TestReportAccessors:
 class TestRunShards:
     @staticmethod
     def _toy_shard(m, rng):
-        x = rng.standard_normal(m)
+        x = np.arange(m) + rng.standard_normal(m)  # the index within a piece shows every split
         return x, m, _LogMoments.from_logs(x)
 
+    @pytest.mark.parametrize("chunk", [None, 3])
     @pytest.mark.parametrize("threads", [1, 2, 3])
-    def test_merge_matches_serial_left_fold(self, threads):
+    def test_merge_matches_serial_left_fold(self, threads, chunk, monkeypatch):
+        import gibbslines.experiments as experiments
+
+        if chunk is not None:
+            monkeypatch.setattr(experiments, "DRAW_CHUNK", chunk)
+        chunk = experiments.DRAW_CHUNK
         n, seed = 10, 17
         counts = _shard_counts(n, threads)
         rngs = [np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(len(counts))]
-        # serial evaluation of the same shard generators; threads > 1 runs the pool
-        parts = [self._toy_shard(m, rng) for m, rng in zip(counts, rngs)]
+        # serial evaluation of each shard's pieces, in order, on that shard's
+        # generator; threads > 1 runs the pool
+        parts = [
+            self._toy_shard(min(chunk, m - done), rng)
+            for m, rng in zip(counts, rngs)
+            for done in range(0, m, chunk)
+        ]
         x, total, logmom = _run_shards(self._toy_shard, n, seed, threads)
-        # arrays in shard order, ints summed, accumulators folded left
+        # arrays in shard then piece order, ints summed, accumulators folded left
         assert np.array_equal(x, np.concatenate([p[0] for p in parts]))
         assert total == n
         log_fold = parts[0][2]
