@@ -877,6 +877,13 @@ def run_ordering_experiment(
     _run_shards piece. The near-touch event is
     {min over [-1, 1] of (curve k - curve k+1) < rho}. t_list must be
     strictly increasing.
+
+    The near_touch_nonincreasing check is empirical, not a theorem: the
+    penalties H_t for different t all equal 1 at gap 0 and cross there, so
+    a harder penalty weighs ordered curves near touching less, not more.
+    Under an earlier draw order of the conditional sampler the default
+    config failed it at seed 1909179969 (near-touch 0.4633, 0.385, 0.4733 at
+    t = 1, 8, 64, SE about 0.020); the current draws pass at that seed.
     """
     _raise_problems(_ordering_problems(k, t_list, gap, rho, n_samples, seed, threads))
 
@@ -1062,15 +1069,16 @@ def run_fluctuation_experiment(
 # high-excursion construction
 
 
-def _excursion_problems(L, M, lam, interval, n_samples, seed) -> list[str]:
+def _excursion_problems(L, M, lam, x, y, interval, n_samples, seed) -> list[str]:
     """Problems of estimate_excursion_probability; the experiment runner adds its own."""
     problems = []
     if not L > 0:
         problems.append(f"L must be positive, got {L}")
     if not (M > 0 and math.isfinite(M)):
         problems.append(f"M must be positive and finite, got {M}")
-    if not math.isfinite(lam):
-        problems.append(f"lam must be finite, got {lam}")
+    for name, value in (("lam", lam), ("x", x), ("y", y)):
+        if not math.isfinite(value):
+            problems.append(f"{name} must be finite, got {value}")
     ell, r = interval
     if not (math.isfinite(ell) and math.isfinite(r)) or not r > ell:
         problems.append(f"interval must be finite with r > l, got {interval}")
@@ -1093,57 +1101,18 @@ def _excursion_anchor_shard(L, M, lam, x, y, interval, m, rng):
     Both anchors are drawn from exact bridge conditionals truncated to the
     full excursion corridor, and every remaining constraint is integrated out
     in closed form (one-sided barrier survivals for the outer segments, the
-    reflection series for the middle corridor). Returns per-sample values of
-    the excursion probability and of the anchor-band probability.
+    reflection series for the middle corridor). Returns the per-sample values,
+    whose mean is unbiased for the excursion probability, as a 1-tuple.
     """
     ell, r = interval
     mid = (r - ell) - 2.0 * L
     flo, fhi = lam * M, (lam + 4.0) * M
-    b1lo, b1hi = (lam + 1.0) * M, (lam + 3.0) * M
     v1, v2, log_mass = _anchor_pair(x, y, interval, ell + L, r - L, flo, fhi, m, rng)
-    mass = np.exp(log_mass)
 
     s_left = -np.expm1(-2.0 * np.clip(fhi - x, 0.0, None) * (fhi - v1) / L)
     s_right = -np.expm1(-2.0 * np.clip(fhi - y, 0.0, None) * (fhi - v2) / L)
     s_mid = corridor_survival(v1, v2, flo, fhi, mid)
-    vals = mass * s_left * s_mid * s_right
-    in_band = (v1 >= b1lo) & (v1 <= b1hi) & (v2 >= b1lo) & (v2 <= b1hi)
-    return vals, mass * in_band
-
-
-def _excursion_pathwise_shard(L, M, lam, x, y, interval, m, rng):
-    """Grid-level containment audit on proposal paths anchored in the inner band."""
-    ell, r = interval
-    flo, fhi = lam * M, (lam + 4.0) * M
-    b1lo, b1hi = (lam + 1.0) * M, (lam + 3.0) * M
-    v1, v2, _ = _anchor_pair(x, y, interval, ell + L, r - L, b1lo, b1hi, m, rng)
-
-    def seg(p0, p1, a, b):
-        n_pts = int(math.ceil(32.0 * (p1 - p0))) + 1
-        pts = np.linspace(p0, p1, n_pts)
-        paths = bridge_batch(pts, a, b, rng, m)
-        frac = (pts - p0) / (p1 - p0)
-        chords = np.multiply.outer(np.asarray(a, dtype=np.float64), 1.0 - frac) + np.multiply.outer(
-            np.asarray(b, dtype=np.float64), frac
-        )
-        return paths, chords
-
-    left, left_ch = seg(ell, ell + L, np.full(m, x), v1)
-    middle, mid_ch = seg(ell + L, r - L, v1, v2)
-    rightp, right_ch = seg(r - L, r, v2, np.full(m, y))
-
-    dev_ok = (
-        np.all(np.abs(left - left_ch) <= M, axis=1)
-        & np.all(np.abs(middle - mid_ch) <= M, axis=1)
-        & np.all(np.abs(rightp - right_ch) <= M, axis=1)
-    )
-    event = (
-        np.all((middle >= flo) & (middle <= fhi), axis=1)
-        & np.all(left <= fhi, axis=1)
-        & np.all(rightp <= fhi, axis=1)
-    )
-    violations = int(np.sum(dev_ok & ~event))
-    return violations, int(event.sum()), m
+    return (np.exp(log_mass) * s_left * s_mid * s_right,)
 
 
 def estimate_excursion_probability(
@@ -1160,13 +1129,13 @@ def estimate_excursion_probability(
     """Probability that a bridge from x to y over `interval` runs above
     lam * M on the inner interval while staying below (lam + 4) M throughout.
 
-    Validated here: L > 0, a finite M > 0, a finite lam, the interval
+    Validated here: L > 0, a finite M > 0, finite lam, x and y, the interval
     geometry, n_samples, seed and threads. Degenerate regimes (a floor below
     the endpoints, a far-away ceiling) thus remain reachable for sanity
     checks; the experiment runner enforces the full preconditions.
     """
-    _raise_problems(_excursion_problems(L, M, lam, interval, n_samples, seed) + _thread_problems(threads))
-    vals, _ = _run_shards(
+    _raise_problems(_excursion_problems(L, M, lam, x, y, interval, n_samples, seed) + _thread_problems(threads))
+    (vals,) = _run_shards(
         lambda m, rng: _excursion_anchor_shard(L, M, lam, x, y, interval, m, rng),
         n_samples,
         seed,
@@ -1176,7 +1145,7 @@ def estimate_excursion_probability(
 
 
 def _excursion_experiment_problems(L, M, lam, x, y, interval, n_samples, seed, threads) -> list[str]:
-    problems = _excursion_problems(L, M, lam, interval, n_samples, seed)
+    problems = _excursion_problems(L, M, lam, x, y, interval, n_samples, seed)
     if math.isfinite(lam) and not lam >= 4.0:
         problems.append(f"lam must be at least 4, got {lam}")
     if M > 0 and not (abs(x) <= M and abs(y) <= M):
@@ -1199,36 +1168,37 @@ def run_excursion_experiment(
 ) -> ExperimentReport:
     """Measure the high-excursion probability and its constructive sub-events.
 
-    The four sub-events (anchors in the middle band, then chord deviation at
-    most M on each of the three segments) are independent and jointly imply
-    the excursion event; the report checks the product lower bound within
-    noise, audits the containment samplewise on proposal paths, and fits the
-    decay rate D in log P >= -D M^2 / L.
+    The four sub-events (anchors in the middle band [(lam + 1) M, (lam + 3) M],
+    then chord deviation at most M on each of the three segments) are
+    independent and jointly imply the excursion event, so their product is a
+    valid lower bound; the report checks it within noise and fits the decay
+    rate D in log P >= -D M^2 / L. The bound is loose: at the default config
+    the product sits about 3,400 times below the estimate, below even the
+    check's noise slack, so the check has no power there. The anchor-band
+    probability comes from a second anchor pass on seed + 1 that draws both
+    anchors truncated to the middle band, whose summed log band mass is
+    unbiased for the probability in closed form.
     """
     _raise_problems(_excursion_experiment_problems(L, M, lam, x, y, interval, n_samples, seed, threads))
 
     ell, r = float(interval[0]), float(interval[1])
     mid = (r - ell) - 2.0 * L
-    vals, band_vals = _run_shards(
-        lambda m, rng: _excursion_anchor_shard(L, M, lam, x, y, (ell, r), m, rng),
-        n_samples,
-        seed,
-        threads,
-    )
-    est_j = McEstimate.from_samples(vals, seed)
-    est_band = McEstimate.from_samples(band_vals, seed)
+    est_j = estimate_excursion_probability(L, M, lam, x, y, (ell, r), n_samples, seed, threads)
     if est_j.mean <= 0.0:
         raise ZeroHits(f"no excursion mass at lam={lam:g}, M={M:g} with n={n_samples}")
+
+    blo, bhi = (lam + 1.0) * M, (lam + 3.0) * M
+    (band_vals,) = _run_shards(
+        lambda m, rng: (np.exp(_anchor_pair(x, y, (ell, r), ell + L, r - L, blo, bhi, m, rng)[2]),),
+        n_samples,
+        seed + 1,
+        threads,
+    )
+    est_band = McEstimate.from_samples(band_vals, seed)
 
     # chord-deviation bands are anchor-free, so they come out exactly
     p_left = float(corridor_survival(0.0, 0.0, -M, M, L, images=6))
     p_mid = float(corridor_survival(0.0, 0.0, -M, M, mid, images=6))
-    violations, path_hits, path_n = _run_shards(
-        lambda m, rng: _excursion_pathwise_shard(L, M, lam, x, y, (ell, r), m, rng),
-        min(n_samples, 5000),
-        seed + 1,
-        threads,
-    )
 
     product = est_band.mean * p_left * p_mid * p_left
     product_se = est_band.stderr * p_left * p_mid * p_left
@@ -1251,12 +1221,6 @@ def run_excursion_experiment(
             "subevent_product_bound",
             bool(prod_ok),
             f"excursion {est_j.mean:.6g} >= product {product:.6g} - slack {slack:.2g}",
-        ),
-        (
-            "containment_samplewise",
-            violations == 0,
-            f"{path_n} proposal paths audited, {path_hits} realized the excursion, "
-            f"{violations} containment violations",
         ),
     ]
     return ExperimentReport(name="excursion", estimates=estimates, checks=checks)

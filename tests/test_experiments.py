@@ -743,10 +743,19 @@ class TestExcursion:
         p = excursion_report.estimate("excursion_prob")
         assert 4e-11 < p.mean < 9e-11
 
-    def test_containment_audit_clean(self, excursion_report):
-        ok, detail = excursion_report.check("containment_samplewise")
-        assert ok
-        assert "0" in detail
+    def test_anchor_band_matches_quadrature(self, excursion_report):
+        # P(both anchors in [5, 7]) for the bridge 0 -> 0 over [0, 4] with anchors
+        # at 1 and 3: v1 ~ N(0, 3/4), and v2 | v1 ~ N(v1/3, 2/3)
+        from scipy import integrate, stats
+
+        def density(v):
+            v2 = stats.norm(v / 3.0, math.sqrt(2.0 / 3.0))
+            return stats.norm.pdf(v, 0.0, math.sqrt(0.75)) * (v2.cdf(7.0) - v2.cdf(5.0))
+
+        ref, _ = integrate.quad(density, 5.0, 7.0, epsabs=0)
+        est = excursion_report.estimate("anchor_band_prob")
+        assert est.stderr > 0.0
+        assert abs(est.mean - ref) <= 3.0 * est.stderr
 
     def test_product_bound_below_estimate(self, excursion_report):
         prod = excursion_report.estimate("subevent_product").mean
@@ -824,7 +833,7 @@ def test_non_finite_geometry_is_a_validation_error(run, key, value):
 @pytest.mark.parametrize(
     "run", [run_excursion_experiment, estimate_excursion_probability], ids=["excursion", "excursion_probability"]
 )
-@pytest.mark.parametrize("key", ["lam", "M"])
+@pytest.mark.parametrize("key", ["lam", "M", "x", "y"])
 @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
 def test_non_finite_excursion_level_is_a_validation_error(run, key, value):
     # a non-finite level must fail validation, not the proposal band's sampler

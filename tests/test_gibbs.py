@@ -751,6 +751,27 @@ class TestMonotoneCoupling:
             )
             assert np.all(lo.curves <= hi.curves)
 
+    def test_sandwich_gap_contracts_at_the_gauss_seidel_rate(self):
+        # With no neighbours the penalty is inactive, so on shared uniforms both
+        # states draw mu + sigma Phi^-1(u) at a site and their gap follows a
+        # Gauss-Seidel sweep of the Dirichlet Laplacian, whose slowest mode
+        # shrinks by cos^2(pi / (n - 1)) per scan. A Jacobi update, a neighbour
+        # weight off 1/2 or unshared uniforms each move the rate off it.
+        n, pairs, scans = 17, 20, 120
+        grid = Grid(0.0, 1.0, n)
+        outer = BoundaryData(np.zeros(1), np.zeros(1), PLUS_INF, MINUS_INF)
+        hi = np.zeros((pairs, 1, n))
+        hi[:, :, 1:-1] = 2.0
+        lo = -hi
+        rng = np.random.default_rng(53)
+        gaps = []
+        for _ in range(scans):
+            u = rng.random((pairs, 1, n - 2))
+            lo, hi = coupled_scan_batch(lo, hi, grid, outer, outer, ExpHamiltonian(), u)
+            gaps.append(np.max(hi - lo))
+        rate = (gaps[scans - 1] / gaps[scans // 2 - 1]) ** (1.0 / (scans // 2))
+        assert rate == pytest.approx(math.cos(math.pi / (n - 1)) ** 2, abs=1e-3)
+
     def test_unordered_start_rejected(self):
         grid, lo, hi, outer_lo, outer_hi = self._pair(-0.5)
         with pytest.raises(OrderViolationInput):
