@@ -191,27 +191,39 @@ def sample_bridge_minima(
 def _sliding_range_sup(d, n, seed, grid_n, x, y, interval) -> np.ndarray:
     """Grid-level sup of |B(u) - B(v)| over |u - v| <= d for each of n bridges
     drawn with default_rng(seed); shape (n,)."""
-    from scipy.ndimage import maximum_filter1d, minimum_filter1d  # deferred: only this pass needs it
-
     a, b = interval
     _check_interval(a, b)
     if not 0 < d <= b - a:
         raise InvalidInterval(f"window d={d} outside (0, {b - a}]")
     pts = np.linspace(a, b, grid_n)
     w = max(1, int(round(d / (pts[1] - pts[0]))))
-    size = w + 1
-    origin = size // 2  # shifts the centered filter window to [j, j + w]
     rng = np.random.default_rng(seed)
     stats = []
     done = 0
     while done < n:
         m = min(OSCILLATION_BATCH, n - done)
-        vals = bridge_batch(pts, x, y, rng, m)
-        roll_max = maximum_filter1d(vals, size=size, axis=1, mode="nearest", origin=origin)
-        roll_min = minimum_filter1d(vals, size=size, axis=1, mode="nearest", origin=origin)
-        stats.append((roll_max - roll_min).max(axis=1))
+        stats.append(_window_range_max(bridge_batch(pts, x, y, rng, m), w + 1))
         done += m
     return np.concatenate(stats)
+
+
+def _window_range_max(vals: np.ndarray, size: int) -> np.ndarray:
+    """Per row, the largest max - min over windows of `size` consecutive
+    columns (size <= the row length), exact: doubling takes each row's sliding
+    max and min over 1, 2, 4, ... columns, and two overlapping power-of-2
+    windows cover one of any size. A window cut short by the row's end lies
+    inside the last full one, so full windows suffice."""
+    hi = lo = vals
+    span = 1
+    while 2 * span <= size:
+        hi = np.maximum(hi[:, :-span], hi[:, span:])
+        lo = np.minimum(lo[:, :-span], lo[:, span:])
+        span *= 2
+    rest = size - span
+    if rest:
+        hi = np.maximum(hi[:, :-rest], hi[:, rest:])
+        lo = np.minimum(lo[:, :-rest], lo[:, rest:])
+    return (hi - lo).max(axis=1)
 
 
 def oscillation_tail_estimate(

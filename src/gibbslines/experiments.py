@@ -30,6 +30,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
+from ._normal import logsumexp
 from .bridge_analytics import _sliding_range_sup, corridor_survival, fit_decay_constant
 from .bridge_sampler import bridge_batch
 from .core import (
@@ -134,12 +135,10 @@ class _LogMoments:
 
     @classmethod
     def from_logs(cls, log_w: np.ndarray) -> "_LogMoments":
-        from scipy.special import logsumexp  # loaded at the first fold, not at import
-
         lw = np.asarray(log_w, dtype=np.float64)
         return cls(
-            log_sum=float(logsumexp(lw)),
-            log_sum_sq=float(logsumexp(2.0 * lw)),
+            log_sum=logsumexp(lw),
+            log_sum_sq=logsumexp(2.0 * lw),
             n=lw.size,
         )
 

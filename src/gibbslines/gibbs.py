@@ -26,10 +26,9 @@ truncated to the neighbours, keeps the grid skeleton's law instead.
 estimate_Z and the exact samplers take one entrance/exit row per draw from a
 (B, k) spec: B rows cost one Python call.
 
-scipy.special is imported at the first truncated-Gaussian draw (the hard-wall
-heat bath and the band draws of the separation runners), not with this module,
-so ordering runs, soft heat-bath chains, estimate_Z and the exact samplers
-never load it.
+The truncated-Gaussian draws (the hard-wall heat bath and the band draws of
+the separation runners) take the normal law's log CDF and its inverse from
+_normal, on numpy alone: the package imports no scipy.
 """
 
 from __future__ import annotations
@@ -40,6 +39,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from ._normal import log_ndtr, ndtri_exp
 from .bridge_analytics import segment_log_survival
 from .bridge_sampler import free_ensemble_batch
 from .core import (
@@ -157,7 +157,14 @@ class _Block(NamedTuple):
         for p, (above, below, _) in enumerate(pairs):
             np.subtract(below, above, out=gaps[:, p])
         integrand = self.h.integrand(gaps).sum(axis=1)
-        return -np.trapezoid(integrand, x=self.pts, axis=1)
+        del gaps
+        # np.trapezoid's formula, bit for bit, with one temporary where it
+        # makes three: those pushed a separation run's peak heap past glibc's
+        # trim threshold, so each run faulted its pages in afresh
+        cells = np.add(integrand[:, 1:], integrand[:, :-1])
+        cells *= np.diff(self.pts)
+        cells /= 2.0
+        return -cells.sum(axis=1)
 
 
 def _block(spec: ConditionalSpec, grid: Grid) -> _Block:
@@ -532,12 +539,18 @@ def _invert_log_linear(w: _SiteLattice, u):
     np.cumsum(w.cells, axis=2, out=cdf[..., 1:])
     target = u * cdf[..., -1:]
     idx = np.less(cdf, target, out=w.mask).sum(axis=2, keepdims=True)
-    idx = np.clip(idx, 1, cdf.shape[2] - 1)
-    c0 = np.take_along_axis(cdf, idx - 1, axis=2)
-    c1 = np.take_along_axis(cdf, idx, axis=2)
-    v0 = np.take_along_axis(w.vs[None], idx - 1, axis=2)
-    v1 = np.take_along_axis(w.vs[None], idx, axis=2)
-    x = np.take_along_axis(w.slopes, idx - 1, axis=2)
+    n_states, n_rows, m = cdf.shape
+    idx = np.clip(idx, 1, m - 1)
+    # one flat index per draw, of its cell's lower node in cdf (S, B, m); the
+    # same cell's indices in w.vs (B, m) and w.slopes (S, B, m-1) follow from it
+    rows = np.arange(n_states * n_rows).reshape(n_states, n_rows, 1)
+    lower = idx + (rows * m - 1)
+    upper = lower + 1
+    c0 = cdf.take(lower)
+    c1 = cdf.take(upper)
+    v0 = w.vs.take(lower % (n_rows * m))
+    v1 = w.vs.take(upper % (n_rows * m))
+    x = w.slopes.take(lower - rows)
     q = np.where(c1 > c0, (target - c0) / np.maximum(c1 - c0, 1e-300), 0.0)
     q = np.clip(q, 0.0, 1.0)
     # the cell fraction s below the draw solves q = expm1(s x) / expm1(x); for
@@ -619,9 +632,6 @@ def _gaussian_window(mu, sigma, lo, hi):
     (flip, lo_z, hi_z, log Phi(hi_z), Phi(lo_z) / Phi(hi_z), log mass). The
     log mass is not finite only for a window whose mass is not representable
     (zero width, or beyond log_ndtr's range)."""
-    # deferred: importing scipy.special costs a fresh process about 0.15 s
-    from scipy.special import log_ndtr
-
     if np.any(lo > hi):
         raise OrderViolationInput("hard-wall neighbours cross at a site")
     a = (lo - mu) / sigma
@@ -629,8 +639,8 @@ def _gaussian_window(mu, sigma, lo, hi):
     flip = a > -b
     lo_z = np.where(flip, -b, a)
     hi_z = np.where(flip, -a, b)
-    log_hi = log_ndtr(hi_z)
-    ratio = np.exp(log_ndtr(lo_z) - log_hi)  # Phi(lo_z) / Phi(hi_z), in [0, 1]
+    log_lo, log_hi = log_ndtr(np.stack((lo_z, hi_z)))  # one call for both ends
+    ratio = np.exp(log_lo - log_hi)  # Phi(lo_z) / Phi(hi_z), in [0, 1]
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         log_mass = log_hi + np.log1p(-ratio)
     return flip, lo_z, hi_z, log_hi, ratio, log_mass
@@ -649,8 +659,6 @@ def _truncated_gaussian(mu, sigma, lo, hi, u):
 def _window_inverse(mu, sigma, lo, hi, u, window):
     """_truncated_gaussian from the window's _gaussian_window tuple; ndtri_exp
     keeps draws far out in the tail finite."""
-    from scipy.special import ndtri_exp  # deferred, as in _gaussian_window
-
     flip, lo_z, hi_z, log_hi, ratio, log_mass = window
     p = np.where(flip, 1.0 - u, u)
     # p = 0 against an open side would give -inf: floor at the least normal double

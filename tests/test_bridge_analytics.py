@@ -8,6 +8,7 @@ from scipy.special import ndtr
 
 from gibbslines.bridge_analytics import (
     _sliding_range_sup,
+    _window_range_max,
     barrier_tail_mc,
     bridge_max_tail,
     bridge_min_tail,
@@ -190,6 +191,30 @@ class TestOscillation:
             hits = (sup >= big_k * math.sqrt(d)).astype(np.float64)
             assert 0.0 < est.mean < 1.0
             assert est == McEstimate.from_samples(hits, seed)
+
+    @pytest.mark.parametrize("steps", [2, 4, 64, 128, 512])
+    def test_window_range_matches_scipy_filters_at_even_widths(self, steps):
+        # the centred filters, shifted onto [j, j + steps], that the range pass
+        # used before; scipy accepts that shift only for an odd window size
+        from scipy.ndimage import maximum_filter1d, minimum_filter1d
+
+        vals = bridge_batch(np.linspace(0.0, 1.0, 513), 0.0, 0.0, np.random.default_rng(40), 64)
+        size = steps + 1
+        hi = maximum_filter1d(vals, size=size, axis=1, mode="nearest", origin=size // 2)
+        lo = minimum_filter1d(vals, size=size, axis=1, mode="nearest", origin=size // 2)
+        assert _window_range_max(vals, size).tobytes() == (hi - lo).max(axis=1).tobytes()
+
+    @pytest.mark.parametrize("steps", [1, 3, 51, 255, 511])
+    def test_window_range_matches_bruteforce_at_odd_widths(self, steps):
+        vals = bridge_batch(np.linspace(0.0, 1.0, 513), 0.0, 0.0, np.random.default_rng(41), 64)
+        windows = np.lib.stride_tricks.sliding_window_view(vals, steps + 1, axis=1)
+        ref = (windows.max(axis=2) - windows.min(axis=2)).max(axis=1)
+        assert _window_range_max(vals, steps + 1).tobytes() == ref.tobytes()
+
+    def test_window_of_an_odd_number_of_steps(self):
+        # d = 3/512 spans 3 grid steps: scipy's shifted filters raised here
+        est = oscillation_tail_estimate(3 / 512, 1.0, 16, 0)
+        assert est.n_samples == 16 and 0.0 <= est.mean <= 1.0
 
     def test_sups_do_not_depend_on_the_batch_size(self, monkeypatch):
         # bridge_batch draws its normals row-major, so row chunks keep the stream

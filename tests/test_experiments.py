@@ -719,6 +719,13 @@ class TestFluctuation:
         assert fluctuation_report.estimate("fitted_decay_constant").mean >= 1.0
         assert fluctuation_report.estimate("fitted_mixture_decay").mean > 0.0
 
+    def test_window_of_an_odd_number_of_free_law_steps(self):
+        # d = 0.2 spans 51 steps of the free-law pass's 1/256 grid
+        rep = run_fluctuation_experiment(
+            d=0.2, K_list=[1.0, 2.0, 3.0], boundary_box=2.0, n_samples=400, seed=8
+        )
+        assert rep.passed
+
     def test_zero_threshold_is_certain(self):
         rep = run_fluctuation_experiment(
             d=0.25, K_list=[0.0, 3.0], boundary_box=2.0, n_samples=400, seed=8

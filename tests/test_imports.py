@@ -1,9 +1,9 @@
-"""A fresh process loads scipy only when a call needs it.
+"""A fresh process runs every experiment without loading scipy.
 
-Importing scipy.special costs a fresh process about 0.15 s, so the package
-imports it at the first truncated-Gaussian draw or log-moment fold, and
-concurrent.futures only for a threaded run. These tests start a clean
-interpreter, since the test process has long since loaded both.
+The normal-law functions come from gibbslines._normal and the sliding
+extrema from numpy, so scipy is a test-only dependency; concurrent.futures
+loads only for a threaded run. These tests start a clean interpreter, since
+the test process has long since loaded both.
 """
 
 import hashlib
@@ -27,7 +27,7 @@ scan = heat_bath_scan_batch(np.zeros((8, 1, 17)), grid, outer, OrderedHamiltonia
 """
 
 CHILD = f"""
-import hashlib, json, sys
+import dataclasses, hashlib, json, sys
 
 def deferred():
     return sorted(m for m in sys.modules if m.split(".")[0] == "scipy"
@@ -36,11 +36,16 @@ def deferred():
 stages = {{}}
 import gibbslines, gibbslines.cli
 stages["import"] = deferred()
-from gibbslines.config import emit_default_config, parse_config, run_experiment
-run_experiment(parse_config(emit_default_config("ordering")))
-stages["ordering"] = deferred()
+from gibbslines.config import REGISTRY, emit_default_config, parse_config, run_experiment
+stages["experiments"] = sorted(REGISTRY)
+for name in REGISTRY:
+    config = parse_config(emit_default_config(name))
+    if name == "fluctuation":  # its free-law pass runs in full at any n_samples
+        config = dataclasses.replace(config, parameters={{**config.parameters, "n_samples": 200}})
+    assert run_experiment(config).passed, name
+    stages[name] = deferred()
 {SCAN}
-stages["scan_special"] = "scipy.special" in sys.modules
+stages["scan"] = deferred()
 stages["scan_sha256"] = hashlib.sha256(scan.tobytes()).hexdigest()
 print(json.dumps(stages))
 """
@@ -52,17 +57,19 @@ def _run_child():
         [str(SRC)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
     )
     done = subprocess.run(
-        [sys.executable, "-c", CHILD], env=env, capture_output=True, text=True, timeout=120
+        [sys.executable, "-c", CHILD], env=env, capture_output=True, text=True, timeout=300
     )
     assert done.returncode == 0, done.stderr
     return json.loads(done.stdout.splitlines()[-1])
 
 
-def test_scipy_loads_only_at_first_use():
+def test_default_runs_and_a_hard_wall_scan_load_no_scipy():
     stages = _run_child()
     assert stages["import"] == []  # import gibbslines, gibbslines.cli
-    assert stages["ordering"] == []  # a default ordering run draws no truncated Gaussian
-    assert stages["scan_special"]  # a hard-wall site draw does
+    assert stages["experiments"] == ["excursion", "fluctuation", "ordering", "separation", "z_lowerbound"]
+    for name in stages["experiments"]:
+        assert stages[name] == [], name  # a default run, threads = 1
+    assert stages["scan"] == []  # a hard-wall scan draws truncated Gaussians
     here = {}
     exec(SCAN, here)
     assert stages["scan_sha256"] == hashlib.sha256(here["scan"].tobytes()).hexdigest()
